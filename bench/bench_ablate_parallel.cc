@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "bench_common.h"
-#include "core/parallel.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 
@@ -55,9 +54,21 @@ int Run() {
   json.Key("points").BeginArray();
   double baseline = 0.0;
   for (int threads : {1, 2, 4, 8}) {
-    const ParallelRbmQueryProcessor processor(&(*db)->collection(),
-                                              &(*db)->rule_engine(),
-                                              threads);
+    // The thread count reaches the scan through the database's shared
+    // pool, so each point gets its own copy of the (seeded) corpus.
+    DatabaseOptions options;
+    options.query_threads = threads;
+    auto threaded = MultimediaDatabase::Open(options);
+    if (!threaded.ok() ||
+        !datasets::BuildAugmentedDatabase(threaded->get(), spec).ok()) {
+      return 1;
+    }
+    const struct {
+      const MultimediaDatabase* db;
+      Result<QueryResult> RunRange(const RangeQuery& query) const {
+        return db->RunRange(query, QueryMethod::kParallelRbm);
+      }
+    } processor{threaded->get()};
     // Warm up, then take the median of 7 rounds.
     for (const RangeQuery& query : workload) {
       if (!processor.RunRange(query).ok()) return 1;

@@ -2,36 +2,7 @@
 
 #include <algorithm>
 
-#include "core/bounds.h"
-#include "obs/trace.h"
-
 namespace mmdb {
-
-namespace {
-
-obs::SpanCategory* ScanSpan() {
-  static obs::SpanCategory* const category =
-      obs::Tracer::Default().Intern("bwm.scan");
-  return category;
-}
-
-/// Fine-grained span around one Main-cluster wholesale accept (paper
-/// Figure 2, step 4.2) — the cheap side of the BWM split.
-obs::SpanCategory* ClusterAcceptSpan() {
-  static obs::SpanCategory* const category = obs::Tracer::Default().Intern(
-      "bwm.cluster_accept", obs::SpanDetail::kFine);
-  return category;
-}
-
-/// Fine-grained span around one per-image BOUNDS rule fold (step 4.3 /
-/// step 5) — the expensive RBM-fallback side.
-obs::SpanCategory* RuleWalkSpan() {
-  static obs::SpanCategory* const category =
-      obs::Tracer::Default().Intern("bwm.rule_walk", obs::SpanDetail::kFine);
-  return category;
-}
-
-}  // namespace
 
 void BwmIndex::InsertBinary(ObjectId id) {
   main_.try_emplace(id);  // Sorted by key; cluster starts empty.
@@ -78,152 +49,6 @@ std::vector<BwmIndex::Cluster> BwmIndex::MainClusters() const {
     out.push_back(Cluster{base_id, edited_ids});
   }
   return out;
-}
-
-BwmQueryProcessor::BwmQueryProcessor(const AugmentedCollection* collection,
-                                     const BwmIndex* index,
-                                     const RuleEngine* engine)
-    : collection_(collection),
-      index_(index),
-      engine_(engine),
-      resolver_(collection->MakeTargetResolver(*engine)) {}
-
-Result<QueryResult> BwmQueryProcessor::RunRange(const RangeQuery& query,
-                                                const QueryContext& ctx) const {
-  obs::Span scan_span(ScanSpan());
-  QueryResult result;
-  CancelCheck check(ctx);
-
-  auto bound_and_collect = [&](ObjectId edited_id) -> Status {
-    MMDB_RETURN_IF_ERROR(check.Check());
-    obs::Span walk_span(RuleWalkSpan());
-    const EditedImageInfo* edited = collection_->FindEdited(edited_id);
-    if (edited == nullptr) {
-      return Status::Corruption("BWM index references missing edited image " +
-                                std::to_string(edited_id));
-    }
-    const BinaryImageInfo* base =
-        collection_->FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      return Status::Corruption("edited image " + std::to_string(edited_id) +
-                                " references missing base");
-    }
-    MMDB_ASSIGN_OR_RETURN(
-        FractionBounds bounds,
-        ComputeBounds(*engine_, edited->script, query.bin,
-                      base->histogram.Count(query.bin), base->width,
-                      base->height, resolver_, check.enabled_or_null()));
-    ++result.stats.edited_images_bounded;
-    result.stats.rules_applied +=
-        static_cast<int64_t>(edited->script.ops.size());
-    if (bounds.Overlaps(query.min_fraction, query.max_fraction)) {
-      result.ids.push_back(edited_id);
-    }
-    return Status::OK();
-  };
-
-  // Figure 2, step 4: walk the Main Component clusters.
-  for (const auto& [base_id, edited_ids] : index_->main_map()) {
-    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    const BinaryImageInfo* base = collection_->FindBinary(base_id);
-    if (base == nullptr) {
-      return Status::Corruption("BWM cluster references missing base " +
-                                std::to_string(base_id));
-    }
-    ++result.stats.binary_images_checked;
-    if (query.Satisfies(base->histogram.Fraction(query.bin))) {
-      // Step 4.2: the base satisfies the query, so every edited image in
-      // the cluster does too — no rules applied.
-      obs::Span accept_span(ClusterAcceptSpan());
-      result.ids.push_back(base_id);
-      result.ids.insert(result.ids.end(), edited_ids.begin(),
-                        edited_ids.end());
-      result.stats.edited_images_skipped +=
-          static_cast<int64_t>(edited_ids.size());
-    } else {
-      // Step 4.3: fall back to the BOUNDS computation per cluster member.
-      for (ObjectId edited_id : edited_ids) {
-        MMDB_RETURN_IF_ERROR(
-            AnnotateInterrupt(ctx, result, bound_and_collect(edited_id)));
-      }
-    }
-  }
-
-  // Figure 2, step 5: the Unclassified Component always pays full price.
-  for (ObjectId edited_id : index_->Unclassified()) {
-    MMDB_RETURN_IF_ERROR(
-        AnnotateInterrupt(ctx, result, bound_and_collect(edited_id)));
-  }
-  return result;
-}
-
-Result<QueryResult> BwmQueryProcessor::RunConjunctive(
-    const ConjunctiveQuery& query, const QueryContext& ctx) const {
-  obs::Span scan_span(ScanSpan());
-  QueryResult result;
-  CancelCheck check(ctx);
-
-  auto bound_and_collect = [&](ObjectId edited_id) -> Status {
-    MMDB_RETURN_IF_ERROR(check.Check());
-    obs::Span walk_span(RuleWalkSpan());
-    const EditedImageInfo* edited = collection_->FindEdited(edited_id);
-    if (edited == nullptr) {
-      return Status::Corruption("BWM index references missing edited image " +
-                                std::to_string(edited_id));
-    }
-    const BinaryImageInfo* base =
-        collection_->FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      return Status::Corruption("edited image " + std::to_string(edited_id) +
-                                " references missing base");
-    }
-    bool candidate = true;
-    for (const RangeQuery& conjunct : query.conjuncts) {
-      MMDB_ASSIGN_OR_RETURN(
-          FractionBounds bounds,
-          ComputeBounds(*engine_, edited->script, conjunct.bin,
-                        base->histogram.Count(conjunct.bin), base->width,
-                        base->height, resolver_, check.enabled_or_null()));
-      result.stats.rules_applied +=
-          static_cast<int64_t>(edited->script.ops.size());
-      if (!bounds.Overlaps(conjunct.min_fraction, conjunct.max_fraction)) {
-        candidate = false;
-        break;
-      }
-    }
-    ++result.stats.edited_images_bounded;
-    if (candidate) result.ids.push_back(edited_id);
-    return Status::OK();
-  };
-
-  for (const auto& [base_id, edited_ids] : index_->main_map()) {
-    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    const BinaryImageInfo* base = collection_->FindBinary(base_id);
-    if (base == nullptr) {
-      return Status::Corruption("BWM cluster references missing base " +
-                                std::to_string(base_id));
-    }
-    ++result.stats.binary_images_checked;
-    if (query.Satisfies(
-            [&](BinIndex bin) { return base->histogram.Fraction(bin); })) {
-      obs::Span accept_span(ClusterAcceptSpan());
-      result.ids.push_back(base_id);
-      result.ids.insert(result.ids.end(), edited_ids.begin(),
-                        edited_ids.end());
-      result.stats.edited_images_skipped +=
-          static_cast<int64_t>(edited_ids.size());
-    } else {
-      for (ObjectId edited_id : edited_ids) {
-        MMDB_RETURN_IF_ERROR(
-            AnnotateInterrupt(ctx, result, bound_and_collect(edited_id)));
-      }
-    }
-  }
-  for (ObjectId edited_id : index_->Unclassified()) {
-    MMDB_RETURN_IF_ERROR(
-        AnnotateInterrupt(ctx, result, bound_and_collect(edited_id)));
-  }
-  return result;
 }
 
 }  // namespace mmdb

@@ -5,25 +5,19 @@
 #include <vector>
 
 #include "core/collection.h"
-#include "core/query.h"
-#include "core/query_processor.h"
 #include "core/rules.h"
-#include "util/result.h"
 
 namespace mmdb {
 
-/// Engine-internal header (`mmdb_internal.h`): applications reach this
-/// access path as `QueryMethod::kBwm` through `QueryService` or the
-/// facade; constructing the processor directly is deprecated as public
-/// API.
-///
 /// The paper's proposed data structure (Section 4.1): a Main Component of
 /// `<B_id, E_list>` clusters holding the edited images whose operations
 /// all have bound-widening rules, keyed by referenced base image, plus an
 /// Unclassified Component for the rest.
 ///
 /// Built incrementally via `InsertBinary` / `InsertEdited` (the paper's
-/// Figure 1 insertion algorithm) as images enter the database.
+/// Figure 1 insertion algorithm) as images enter the database. The scan
+/// kernel (core/scan.h) walks it in clustered mode for kBwm and
+/// kBwmIndexed (Figure 2).
 class BwmIndex {
  public:
   /// Registers a newly inserted binary image, creating its (empty) Main
@@ -68,43 +62,6 @@ class BwmIndex {
   std::map<ObjectId, std::vector<ObjectId>> main_;
   std::vector<ObjectId> unclassified_;
   size_t main_edited_count_ = 0;
-};
-
-/// The Bound-Widening Method (paper Section 4.2, Figure 2): processes a
-/// range query using `BwmIndex`. When a cluster's base image satisfies
-/// the query, every edited image in the cluster is accepted without
-/// applying a single rule (their ranges start at the base's satisfying
-/// value and can only widen); otherwise, and for every unclassified
-/// image, it falls back to the RBM bounds computation.
-///
-/// Produces exactly the same result set as `RbmQueryProcessor`.
-class BwmQueryProcessor : public QueryProcessor {
- public:
-  /// All referents must outlive the processor.
-  BwmQueryProcessor(const AugmentedCollection* collection,
-                    const BwmIndex* index, const RuleEngine* engine);
-
-  using QueryProcessor::RunConjunctive;
-  using QueryProcessor::RunRange;
-
-  /// Runs `query` ("with data structure"). Checks `ctx`'s limits per
-  /// cluster (one check covers a wholesale accept) and per bounded image.
-  Result<QueryResult> RunRange(const RangeQuery& query,
-                               const QueryContext& ctx) const override;
-
-  /// Conjunctive variant: a Main cluster is accepted wholesale when its
-  /// base satisfies *every* conjunct (the widening argument applies
-  /// per bin, so each member's per-conjunct range contains the base's
-  /// satisfying value). Identical result sets to
-  /// `RbmQueryProcessor::RunConjunctive`.
-  Result<QueryResult> RunConjunctive(const ConjunctiveQuery& query,
-                                     const QueryContext& ctx) const override;
-
- private:
-  const AugmentedCollection* collection_;
-  const BwmIndex* index_;
-  const RuleEngine* engine_;
-  TargetBoundsResolver resolver_;
 };
 
 }  // namespace mmdb

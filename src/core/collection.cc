@@ -94,51 +94,55 @@ const std::vector<ObjectId>& AugmentedCollection::EditedOf(
 
 TargetBoundsResolver AugmentedCollection::MakeTargetResolver(
     const RuleEngine& engine) const {
-  // The lambda owns a shared in-flight set for cycle detection so that an
-  // edited image whose Merge target (transitively) references itself is
-  // rejected rather than looping.
+  // The in-flight set detects cycles: an edited image whose Merge target
+  // (transitively) references itself is rejected rather than looping.
+  // Recursion goes through the ResolveTargetBounds member, not a
+  // self-capturing std::function, which would own itself and leak.
   auto in_flight = std::make_shared<std::set<ObjectId>>();
-  // Self-referential: the resolver passed to ComputeRuleState for edited
-  // targets is this resolver itself.
-  auto self = std::make_shared<TargetBoundsResolver>();
-  *self = [this, &engine, in_flight, self](
-              ObjectId id, BinIndex hb) -> Result<TargetBounds> {
-    if (const BinaryImageInfo* binary = FindBinary(id)) {
-      TargetBounds out;
-      out.hb_min = out.hb_max = binary->histogram.Count(hb);
-      out.size = binary->histogram.Total();
-      out.width = binary->width;
-      out.height = binary->height;
-      return out;
-    }
-    const EditedImageInfo* edited = FindEdited(id);
-    if (edited == nullptr) {
-      return Status::NotFound("merge target " + std::to_string(id));
-    }
-    if (!in_flight->insert(id).second) {
-      return Status::InvalidArgument("merge target cycle through object " +
-                                     std::to_string(id));
-    }
-    const BinaryImageInfo* base = FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      in_flight->erase(id);
-      return Status::NotFound("base image of merge target " +
-                              std::to_string(id));
-    }
-    Result<RuleState> state = ComputeRuleState(
-        engine, edited->script, hb, base->histogram.Count(hb), base->width,
-        base->height, *self);
-    in_flight->erase(id);
-    if (!state.ok()) return state.status();
-    TargetBounds out;
-    out.hb_min = state->hb_min;
-    out.hb_max = state->hb_max;
-    out.size = state->size;
-    out.width = state->width;
-    out.height = state->height;
-    return out;
+  return [this, &engine, in_flight](ObjectId id, BinIndex hb) {
+    return ResolveTargetBounds(engine, id, hb, in_flight.get());
   };
-  return *self;
+}
+
+Result<TargetBounds> AugmentedCollection::ResolveTargetBounds(
+    const RuleEngine& engine, ObjectId id, BinIndex hb,
+    std::set<ObjectId>* in_flight) const {
+  if (const BinaryImageInfo* binary = FindBinary(id)) {
+    TargetBounds out;
+    out.hb_min = out.hb_max = binary->histogram.Count(hb);
+    out.size = binary->histogram.Total();
+    out.width = binary->width;
+    out.height = binary->height;
+    return out;
+  }
+  const EditedImageInfo* edited = FindEdited(id);
+  if (edited == nullptr) {
+    return Status::NotFound("merge target " + std::to_string(id));
+  }
+  if (!in_flight->insert(id).second) {
+    return Status::InvalidArgument("merge target cycle through object " +
+                                   std::to_string(id));
+  }
+  const BinaryImageInfo* base = FindBinary(edited->script.base_id);
+  if (base == nullptr) {
+    in_flight->erase(id);
+    return Status::NotFound("base image of merge target " +
+                            std::to_string(id));
+  }
+  Result<RuleState> state = ComputeRuleState(
+      engine, edited->script, hb, base->histogram.Count(hb), base->width,
+      base->height, [&](ObjectId target, BinIndex bin) {
+        return ResolveTargetBounds(engine, target, bin, in_flight);
+      });
+  in_flight->erase(id);
+  if (!state.ok()) return state.status();
+  TargetBounds out;
+  out.hb_min = state->hb_min;
+  out.hb_max = state->hb_max;
+  out.size = state->size;
+  out.width = state->width;
+  out.height = state->height;
+  return out;
 }
 
 }  // namespace mmdb

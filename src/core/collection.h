@@ -2,6 +2,7 @@
 #define MMDB_CORE_COLLECTION_H_
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "core/histogram.h"
@@ -74,6 +75,12 @@ class AugmentedCollection {
   TargetBoundsResolver MakeTargetResolver(const RuleEngine& engine) const;
 
  private:
+  /// Recursive target resolution behind `MakeTargetResolver`; `in_flight`
+  /// guards against merge-target cycles.
+  Result<TargetBounds> ResolveTargetBounds(const RuleEngine& engine,
+                                           ObjectId id, BinIndex hb,
+                                           std::set<ObjectId>* in_flight) const;
+
   std::map<ObjectId, BinaryImageInfo> binaries_;
   std::map<ObjectId, EditedImageInfo> editeds_;
   std::map<ObjectId, std::vector<ObjectId>> base_to_edited_;

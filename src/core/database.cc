@@ -3,16 +3,14 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <shared_mutex>
 #include <thread>
 
 #include "core/executor.h"
-#include "core/parallel.h"
 #include "core/plan.h"
 #include "core/query_metrics.h"
+#include "core/scan.h"
 #include "core/similarity.h"
 #include "editops/serialize.h"
-#include "index/indexed_bwm.h"
 #include "image/ppm_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -39,54 +37,6 @@ std::string_view QueryMethodName(QueryMethod method) {
 
 namespace {
 
-/// The process-wide method→factory registry behind `MakeProcessor`.
-/// Reads (every query) take the shared lock; registration is rare.
-struct ProcessorRegistry {
-  std::shared_mutex mu;
-  std::map<QueryMethod, MultimediaDatabase::QueryProcessorFactory> factories;
-
-  static ProcessorRegistry& Instance() {
-    static ProcessorRegistry* registry = [] {
-      auto* r = new ProcessorRegistry();
-      r->factories[QueryMethod::kInstantiate] =
-          [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
-        auto processor = std::make_unique<InstantiationQueryProcessor>(
-            &db.collection(), &db.quantizer(), db.MakePixelResolver());
-        // A corrupt blob quarantines the image instead of failing the query.
-        processor->SetQuarantineHooks(db.MakeQuarantineHooks());
-        return processor;
-      };
-      r->factories[QueryMethod::kRbm] =
-          [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
-        return std::make_unique<RbmQueryProcessor>(&db.collection(),
-                                                   &db.rule_engine());
-      };
-      r->factories[QueryMethod::kBwm] =
-          [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
-        return std::make_unique<BwmQueryProcessor>(
-            &db.collection(), &db.bwm_index(), &db.rule_engine());
-      };
-      r->factories[QueryMethod::kBwmIndexed] =
-          [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
-        return std::make_unique<IndexedBwmQueryProcessor>(
-            &db.collection(), &db.bwm_index(), &db.rule_engine(),
-            &db.histogram_index());
-      };
-      r->factories[QueryMethod::kParallelRbm] =
-          [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
-        return std::make_unique<ParallelRbmQueryProcessor>(
-            &db.collection(), &db.rule_engine(), db.shared_executor());
-      };
-      r->factories[QueryMethod::kPlanned] =
-          [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
-        return std::make_unique<PlannedQueryProcessor>(&db);
-      };
-      return r;
-    }();
-    return *registry;
-  }
-};
-
 /// One facade-level span site per access path (`query.bwm`, `query.rbm`,
 /// ...). QueryMethod is closed, so the table is built once.
 obs::SpanCategory* QuerySpanFor(QueryMethod method) {
@@ -109,30 +59,56 @@ obs::SpanCategory* QuerySpanFor(QueryMethod method) {
 
 Result<std::unique_ptr<QueryProcessor>> MultimediaDatabase::MakeProcessor(
     QueryMethod method) const {
-  QueryProcessorFactory factory;
-  {
-    ProcessorRegistry& registry = ProcessorRegistry::Instance();
-    std::shared_lock<std::shared_mutex> lock(registry.mu);
-    auto it = registry.factories.find(method);
-    if (it == registry.factories.end()) {
-      return Status::InvalidArgument(
-          "no query processor registered for method " +
-          std::to_string(static_cast<int>(method)));
+  const auto scan =
+      [this](ScanSettings settings) -> std::unique_ptr<QueryProcessor> {
+    return std::make_unique<ScanQueryProcessor>(&collection_, &rule_engine_,
+                                                settings);
+  };
+  obs::Tracer& tracer = obs::Tracer::Default();
+  constexpr obs::SpanDetail kFine = obs::SpanDetail::kFine;
+  switch (method) {
+    case QueryMethod::kInstantiate: {
+      auto processor = std::make_unique<InstantiationQueryProcessor>(
+          &collection_, &quantizer_, MakePixelResolver());
+      // A corrupt blob quarantines the image instead of failing the query.
+      processor->SetQuarantineHooks(MakeQuarantineHooks());
+      return std::unique_ptr<QueryProcessor>(std::move(processor));
     }
-    factory = it->second;
+    case QueryMethod::kRbm: {
+      static obs::SpanCategory* const scan_span = tracer.Intern("rbm.scan");
+      static obs::SpanCategory* const walk_span =
+          tracer.Intern("rbm.rule_walk", kFine);
+      return scan({.scan_span = scan_span, .rule_walk_span = walk_span});
+    }
+    case QueryMethod::kBwm: {
+      static obs::SpanCategory* const scan_span = tracer.Intern("bwm.scan");
+      static obs::SpanCategory* const walk_span =
+          tracer.Intern("bwm.rule_walk", kFine);
+      static obs::SpanCategory* const accept_span =
+          tracer.Intern("bwm.cluster_accept", kFine);
+      return scan({.clusters = &bwm_index_,
+                   .scan_span = scan_span,
+                   .rule_walk_span = walk_span,
+                   .accept_span = accept_span});
+    }
+    case QueryMethod::kBwmIndexed: {
+      static obs::SpanCategory* const scan_span =
+          tracer.Intern("bwm_indexed.scan");
+      return scan({.clusters = &bwm_index_,
+                   .probe = &histogram_index_,
+                   .scan_span = scan_span});
+    }
+    case QueryMethod::kParallelRbm: {
+      static obs::SpanCategory* const scan_span =
+          tracer.Intern("parallel_rbm.scan");
+      return scan({.chunks = shared_executor(), .scan_span = scan_span});
+    }
+    case QueryMethod::kPlanned:
+      return std::unique_ptr<QueryProcessor>(
+          std::make_unique<PlannedQueryProcessor>(this));
   }
-  std::unique_ptr<QueryProcessor> processor = factory(*this);
-  if (processor == nullptr) {
-    return Status::Internal("query processor factory returned null");
-  }
-  return processor;
-}
-
-void MultimediaDatabase::RegisterQueryMethod(QueryMethod method,
-                                             QueryProcessorFactory factory) {
-  ProcessorRegistry& registry = ProcessorRegistry::Instance();
-  std::unique_lock<std::shared_mutex> lock(registry.mu);
-  registry.factories[method] = std::move(factory);
+  return Status::InvalidArgument("unknown query method " +
+                                 std::to_string(static_cast<int>(method)));
 }
 
 Executor* MultimediaDatabase::shared_executor() const {

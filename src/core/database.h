@@ -18,7 +18,6 @@
 #include "core/quantizer.h"
 #include "core/query.h"
 #include "core/query_processor.h"
-#include "core/rbm.h"
 #include "core/rules.h"
 #include "index/histogram_index.h"
 #include "image/editor.h"
@@ -107,12 +106,6 @@ class Executor;
 
 class MultimediaDatabase {
  public:
-  /// Builds a fresh processor for one query method against one database.
-  /// Called once per query (processors carry per-instance resolver
-  /// scratch state and are cheap to build), from any thread.
-  using QueryProcessorFactory =
-      std::function<std::unique_ptr<QueryProcessor>(const MultimediaDatabase&)>;
-
   /// Opens (creating or reloading) a database per `options`.
   static Result<std::unique_ptr<MultimediaDatabase>> Open(
       DatabaseOptions options = {});
@@ -171,10 +164,19 @@ class MultimediaDatabase {
   Result<QueryResult> RunSimilarity(const SimilarityQuery& query,
                                     const QueryContext& ctx) const;
 
-  /// Builds a fresh `QueryProcessor` for `method` from the process-wide
-  /// method→factory registry (`RunRange` / `RunConjunctive` dispatch
-  /// through this). The processor borrows this database's in-memory
-  /// read state and must not outlive it.
+  /// Builds a fresh `QueryProcessor` for `method` (`RunRange` /
+  /// `RunConjunctive` dispatch through this). kRbm, kBwm, kBwmIndexed and
+  /// kParallelRbm are settings of the one scan kernel (core/scan.h):
+  ///
+  /// | method         | binary side                  | loose edited images |
+  /// |----------------|------------------------------|---------------------|
+  /// | kRbm           | flat                         | serial              |
+  /// | kBwm           | Main clusters                | serial              |
+  /// | kBwmIndexed    | Main clusters, R-tree probe  | serial              |
+  /// | kParallelRbm   | flat                         | chunked on the pool |
+  ///
+  /// Processors are cheap to build (one per query) and borrow this
+  /// database's in-memory read state; they must not outlive it.
   ///
   /// Engine-internal: applications should issue queries through
   /// `QueryService` (or the `Run*` facade calls), which add deadlines,
@@ -191,12 +193,6 @@ class MultimediaDatabase {
   /// skews cost estimates — the planned residual filter is exact — so a
   /// reader racing a mutation at worst plans against the previous corpus.
   std::shared_ptr<const CorpusStats> PlannerStats() const;
-
-  /// Registers (or replaces) the factory behind `method`, letting new
-  /// access paths plug into every facade and `QueryService` dispatch
-  /// without editing either. Process-wide; thread-safe.
-  static void RegisterQueryMethod(QueryMethod method,
-                                  QueryProcessorFactory factory);
 
   /// The lazily started persistent worker pool shared by this database's
   /// parallel query paths (`QueryMethod::kParallelRbm`). Sized by

@@ -53,37 +53,6 @@ Status InstantiationQueryProcessor::HistogramOrQuarantine(
   return Status::OK();
 }
 
-Result<QueryResult> InstantiationQueryProcessor::RunRange(
-    const RangeQuery& query, const QueryContext& ctx) const {
-  QueryResult result;
-  CancelCheck check(ctx);
-  for (ObjectId id : collection_->binary_ids()) {
-    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    const BinaryImageInfo* binary = collection_->FindBinary(id);
-    ++result.stats.binary_images_checked;
-    if (query.Satisfies(binary->histogram.Fraction(query.bin))) {
-      result.ids.push_back(id);
-    }
-  }
-  for (ObjectId id : collection_->edited_ids()) {
-    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    const EditedImageInfo* edited = collection_->FindEdited(id);
-    ColorHistogram hist;
-    bool skipped = false;
-    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(
-        ctx, result, HistogramOrQuarantine(id, *edited, &hist, &skipped)));
-    if (skipped) {
-      ++result.stats.corrupt_images_skipped;
-      continue;
-    }
-    ++result.stats.images_instantiated;
-    if (query.Satisfies(hist.Fraction(query.bin))) {
-      result.ids.push_back(id);
-    }
-  }
-  return result;
-}
-
 Result<QueryResult> InstantiationQueryProcessor::RunConjunctive(
     const ConjunctiveQuery& query, const QueryContext& ctx) const {
   QueryResult result;

@@ -59,16 +59,10 @@ class InstantiationQueryProcessor : public QueryProcessor {
     quarantine_ = std::move(hooks);
   }
 
-  using QueryProcessor::RunConjunctive;
-  using QueryProcessor::RunRange;
-
-  /// Runs `query`, instantiating every edited image. Checks `ctx`'s
-  /// limits per image (instantiation is the natural coarse boundary; the
-  /// storage read path below adds per-page checks via `CancelScope`).
-  Result<QueryResult> RunRange(const RangeQuery& query,
-                               const QueryContext& ctx) const override;
-
-  /// Conjunctive variant (exact).
+  /// Runs `query` exactly, instantiating every edited image. Checks
+  /// `ctx`'s limits per image (instantiation is the natural coarse
+  /// boundary; the storage read path below adds per-page checks via
+  /// `CancelScope`).
   Result<QueryResult> RunConjunctive(const ConjunctiveQuery& query,
                                      const QueryContext& ctx) const override;
 

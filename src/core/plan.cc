@@ -6,9 +6,9 @@
 #include <numeric>
 #include <utility>
 
-#include "core/bounds.h"
 #include "core/collection.h"
 #include "core/query_service.h"
+#include "core/scan.h"
 #include "core/similarity.h"
 
 namespace mmdb {
@@ -251,14 +251,6 @@ std::string QueryPlan::Explain() const {
 PlannedQueryProcessor::PlannedQueryProcessor(const MultimediaDatabase* db)
     : db_(db), planner_(*db) {}
 
-Result<QueryResult> PlannedQueryProcessor::RunRange(
-    const RangeQuery& query, const QueryContext& ctx) const {
-  const QueryPlan plan = planner_.PlanRange(query);
-  MMDB_ASSIGN_OR_RETURN(std::unique_ptr<QueryProcessor> processor,
-                        db_->MakeProcessor(plan.driver().method));
-  return processor->RunRange(query, ctx);
-}
-
 Result<QueryResult> PlannedQueryProcessor::RunConjunctive(
     const ConjunctiveQuery& query, const QueryContext& ctx) const {
   if (query.conjuncts.empty()) {
@@ -273,50 +265,33 @@ Result<QueryResult> PlannedQueryProcessor::RunConjunctive(
   if (plan.steps.size() == 1) return driven;
 
   // Residual filter over the driver's survivors: exact fractions for
-  // binary images, one rule-fold bound per residual conjunct for edited
-  // ones — the same per-image logic the RBM conjunctive scan applies, so
-  // the planned result set equals the unplanned one.
+  // binary images, the scan kernel's per-image rule fold for edited ones,
+  // so the planned result set equals the unplanned one.
+  ConjunctiveQuery residual;
+  for (size_t i = 1; i < plan.steps.size(); ++i) {
+    residual.conjuncts.push_back(plan.steps[i].predicate);
+  }
   CancelCheck check(ctx);
   const AugmentedCollection& collection = db_->collection();
-  const RuleEngine& engine = db_->rule_engine();
-  const TargetBoundsResolver resolver = collection.MakeTargetResolver(engine);
+  const EditedImageBounder bounder(collection, db_->rule_engine());
   QueryResult out;
   out.stats = driven.stats;
   for (ObjectId id : driven.ids) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, out, check.Check()));
     if (const BinaryImageInfo* binary = collection.FindBinary(id)) {
       ++out.stats.binary_images_checked;
-      bool keep = true;
-      for (size_t i = 1; i < plan.steps.size() && keep; ++i) {
-        const RangeQuery& predicate = plan.steps[i].predicate;
-        keep = predicate.Satisfies(binary->histogram.Fraction(predicate.bin));
+      if (residual.Satisfies(
+              [&](BinIndex bin) { return binary->histogram.Fraction(bin); })) {
+        out.ids.push_back(id);
       }
-      if (keep) out.ids.push_back(id);
       continue;
     }
     const EditedImageInfo* edited = collection.FindEdited(id);
     if (edited == nullptr) continue;  // Deleted between scan and filter.
-    const BinaryImageInfo* base = collection.FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      return Status::Corruption("edited image " + std::to_string(id) +
-                                " references missing base");
-    }
-    ++out.stats.edited_images_bounded;
-    bool keep = true;
-    for (size_t i = 1; i < plan.steps.size() && keep; ++i) {
-      const RangeQuery& predicate = plan.steps[i].predicate;
-      Result<FractionBounds> bounds = ComputeBounds(
-          engine, edited->script, predicate.bin,
-          base->histogram.Count(predicate.bin), base->width, base->height,
-          resolver, check.enabled_or_null());
-      if (!bounds.ok()) {
-        return AnnotateInterrupt(ctx, out, bounds.status());
-      }
-      out.stats.rules_applied +=
-          static_cast<int64_t>(edited->script.ops.size());
-      keep = bounds->Overlaps(predicate.min_fraction, predicate.max_fraction);
-    }
-    if (keep) out.ids.push_back(id);
+    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(
+        ctx, out,
+        bounder.Bound(*edited, residual.conjuncts, check.enabled_or_null(),
+                      &out)));
   }
   return out;
 }

@@ -177,8 +177,6 @@ class PlannedQueryProcessor : public QueryProcessor {
   /// processor build stays cheap.
   explicit PlannedQueryProcessor(const MultimediaDatabase* db);
 
-  Result<QueryResult> RunRange(const RangeQuery& query,
-                               const QueryContext& ctx) const override;
   Result<QueryResult> RunConjunctive(const ConjunctiveQuery& query,
                                      const QueryContext& ctx) const override;
 

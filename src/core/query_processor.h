@@ -7,12 +7,12 @@
 
 namespace mmdb {
 
-/// The one interface every access path implements: instantiate, RBM, BWM,
-/// indexed BWM, and the pooled parallel RBM scan are all
-/// `QueryProcessor`s, and the facade dispatches to them through a
-/// method→factory registry instead of a hand-rolled switch. New access
-/// paths plug in by registering a factory (see
-/// `MultimediaDatabase::RegisterQueryMethod`) without editing the facade.
+/// The one interface every access path implements. The scan kernel
+/// (`ScanQueryProcessor`, core/scan.h) answers kRbm, kBwm, kBwmIndexed
+/// and kParallelRbm; `InstantiationQueryProcessor` and
+/// `PlannedQueryProcessor` answer kInstantiate and kPlanned. The facade
+/// builds one per query with `MultimediaDatabase::MakeProcessor`, a
+/// switch over the closed `QueryMethod` enum.
 ///
 /// Contract shared by every implementation:
 ///  - no false negatives versus the instantiate baseline;
@@ -21,35 +21,27 @@ namespace mmdb {
 ///  - `Run*` methods are const and touch only in-memory read state, so
 ///    one processor is safe to use from the thread that built it while
 ///    other threads run their own processors. A single processor instance
-///    is NOT shareable across threads (the bounds resolver's
-///    cycle-detection scratch state is per-instance); build one per
-///    thread, which is exactly what the facade and `QueryService` do.
+///    is NOT shareable across threads; build one per thread, which is
+///    exactly what the facade and `QueryService` do.
 /// Every processor additionally honors the limits in a `QueryContext`
 /// (deadline, cancel tokens) by checking cooperatively at its natural
 /// boundaries — per image scanned, per rule-walk operation, per BWM
 /// cluster — and returns `DeadlineExceeded`/`Cancelled` with partial
 /// progress recorded in `ctx.interrupt` when a limit trips. A
 /// default-constructed context imposes no limits and takes the identical
-/// code path, so the legacy single-argument overloads below stay
-/// result-identical.
+/// code path.
 class QueryProcessor {
  public:
   virtual ~QueryProcessor() = default;
-
-  /// Answers one color range query under `ctx`'s limits.
-  virtual Result<QueryResult> RunRange(const RangeQuery& query,
-                                       const QueryContext& ctx) const = 0;
 
   /// Answers a conjunction of range predicates under `ctx`'s limits.
   virtual Result<QueryResult> RunConjunctive(
       const ConjunctiveQuery& query, const QueryContext& ctx) const = 0;
 
-  /// Legacy unlimited overloads; identical to passing an empty context.
-  Result<QueryResult> RunRange(const RangeQuery& query) const {
-    return RunRange(query, QueryContext{});
-  }
-  Result<QueryResult> RunConjunctive(const ConjunctiveQuery& query) const {
-    return RunConjunctive(query, QueryContext{});
+  /// Answers one color range query: a one-conjunct conjunction.
+  Result<QueryResult> RunRange(const RangeQuery& query,
+                               const QueryContext& ctx) const {
+    return RunConjunctive(ConjunctiveQuery{{query}}, ctx);
   }
 };
 

@@ -13,23 +13,22 @@
 /// instead of constructing processors directly; both execute the same
 /// `QueryRequest` and return the same `QueryResult`.
 
-// The access-path processors (instantiate, RBM, BWM, indexed BWM,
-// parallel RBM, planned) and the machinery they share. Reach them
-// through `QueryService` / `MultimediaDatabase::RunRange` — direct
-// construction is deprecated as public API.
+// The query processors and the machinery they share: the scan kernel
+// (RBM, BWM, indexed BWM and parallel RBM are settings of it), the
+// instantiate baseline, and the planner. Reach them through
+// `QueryService` / `MultimediaDatabase::RunRange` — direct construction
+// is deprecated as public API.
 #include "core/bounds.h"
 #include "core/bwm.h"
 #include "core/executor.h"
 #include "core/instantiate.h"
-#include "core/parallel.h"
 #include "core/plan.h"
 #include "core/query_processor.h"
-#include "core/rbm.h"
 #include "core/rules.h"
+#include "core/scan.h"
 
 // Index structures.
 #include "index/histogram_index.h"
-#include "index/indexed_bwm.h"
 #include "index/rtree.h"
 
 // Edit-script internals: binary serialization, delta encoding, and the

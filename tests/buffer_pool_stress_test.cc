@@ -8,15 +8,18 @@
 #include <map>
 
 #include "storage/buffer_pool.h"
+#include "test_util.h"
 #include "util/random.h"
 
 namespace mmdb {
 namespace {
 
+using mmdb::testing::TempPath;
+
 class BufferPoolStress : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/mmdb_bp_stress.db";
+    path_ = TempPath("mmdb_bp_stress.db");
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

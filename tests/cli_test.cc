@@ -11,9 +11,12 @@
 
 #include "image/ppm_io.h"
 #include "mmdb.h"
+#include "test_util.h"
 
 namespace mmdb {
 namespace {
+
+using mmdb::testing::TempPath;
 
 #ifndef MMDB_CLI_PATH
 #define MMDB_CLI_PATH ""
@@ -25,7 +28,7 @@ class CliTest : public ::testing::Test {
     if (std::string(MMDB_CLI_PATH).empty()) {
       GTEST_SKIP() << "mmdb_cli binary path not configured";
     }
-    dir_ = ::testing::TempDir() + "/mmdb_cli_e2e";
+    dir_ = TempPath("mmdb_cli_e2e");
     std::system(("rm -rf '" + dir_ + "' && mkdir -p '" + dir_ + "'").c_str());
     db_ = dir_ + "/cli.mmdb";
   }

@@ -10,6 +10,7 @@ namespace mmdb {
 namespace {
 
 using mmdb::testing::AsSet;
+using mmdb::testing::TempPath;
 
 TEST(DatabaseTest, InsertAndRetrieveBinaryImage) {
   auto db = MultimediaDatabase::Open().value();
@@ -110,7 +111,7 @@ TEST(DatabaseTest, ThreeMethodsAgreeOnBinaryOnlyDatabase) {
 }
 
 TEST(DatabaseTest, DiskDatabasePersistsAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "/mmdb_db_test.db";
+  const std::string path = TempPath("mmdb_db_test.db");
   std::remove(path.c_str());
 
   std::vector<ObjectId> binary_ids;
@@ -155,7 +156,7 @@ TEST(DatabaseTest, DiskDatabasePersistsAcrossReopen) {
 }
 
 TEST(DatabaseTest, ReopenedDatabaseAnswersQueriesIdentically) {
-  const std::string path = ::testing::TempDir() + "/mmdb_db_requery.db";
+  const std::string path = TempPath("mmdb_db_requery.db");
   std::remove(path.c_str());
   RangeQuery query;
   std::set<ObjectId> before;

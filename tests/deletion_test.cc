@@ -9,6 +9,7 @@ namespace mmdb {
 namespace {
 
 using mmdb::testing::AsSet;
+using mmdb::testing::TempPath;
 
 struct Fixture {
   std::unique_ptr<MultimediaDatabase> db;
@@ -131,7 +132,7 @@ TEST(DeletionTest, UnclassifiedRemovalUpdatesBwmIndex) {
 }
 
 TEST(DeletionTest, DiskDatabaseReflectsDeletionAfterReopen) {
-  const std::string path = ::testing::TempDir() + "/mmdb_delete_test.db";
+  const std::string path = TempPath("mmdb_delete_test.db");
   std::remove(path.c_str());
   ObjectId base, edited;
   {

@@ -5,14 +5,13 @@
 #include <cstdio>
 #include <string>
 
+#include "test_util.h"
 #include "util/status.h"
 
 namespace mmdb {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using mmdb::testing::TempPath;
 
 void RemoveIfPresent(const std::string& path) {
   std::remove(path.c_str());

@@ -19,9 +19,7 @@
 namespace mmdb {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using mmdb::testing::TempPath;
 
 void RemoveStoreFiles(const std::string& path) {
   std::remove(path.c_str());

@@ -19,6 +19,8 @@
 namespace mmdb {
 namespace {
 
+using mmdb::testing::TempPath;
+
 std::string RandomBytes(size_t n, Rng& rng) {
   std::string out(n, '\0');
   for (char& c : out) c = static_cast<char>(rng.Uniform(256));
@@ -139,10 +141,9 @@ class StorageFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StorageFuzz, BitFlippedPageFileReopensOrReportsCorruption) {
   Rng rng(GetParam() + 300);
-  // Seed-suffixed: the parametrized instances run as parallel ctest
+  // Per-test path: the parametrized instances run as parallel ctest
   // processes and must not share a file.
-  const std::string path = ::testing::TempDir() + "/mmdb_fuzz_pages." +
-                           std::to_string(GetParam()) + ".db";
+  const std::string path = TempPath("mmdb_fuzz_pages.db");
   std::remove(path.c_str());
   std::remove((path + ".journal").c_str());
   {
@@ -174,9 +175,8 @@ TEST_P(StorageFuzz, BitFlippedPageFileReopensOrReportsCorruption) {
 
 TEST_P(StorageFuzz, BitFlippedJournalRecoversOrReportsCorruption) {
   Rng rng(GetParam() + 400);
-  // Seed-suffixed for the same parallel-ctest reason as above.
-  const std::string path = ::testing::TempDir() + "/mmdb_fuzz_journal." +
-                           std::to_string(GetParam()) + ".db";
+  // Per-test path for the same parallel-ctest reason as above.
+  const std::string path = TempPath("mmdb_fuzz_journal.db");
   const std::string journal_path = path + ".journal";
   std::remove(path.c_str());
   std::remove(journal_path.c_str());

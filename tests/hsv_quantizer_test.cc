@@ -14,6 +14,7 @@ namespace mmdb {
 namespace {
 
 using mmdb::testing::AsSet;
+using mmdb::testing::TempPath;
 
 TEST(HsvQuantizerTest, SpaceNames) {
   EXPECT_EQ(ColorSpaceName(ColorSpace::kRgb), "RGB");
@@ -147,7 +148,7 @@ TEST(HsvDatabaseTest, MethodsAgreeUnderHsv) {
 }
 
 TEST(HsvDatabaseTest, ColorSpacePersistsAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "/mmdb_hsv_test.db";
+  const std::string path = TempPath("mmdb_hsv_test.db");
   std::remove(path.c_str());
   {
     DatabaseOptions options;

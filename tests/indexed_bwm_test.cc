@@ -2,13 +2,13 @@
 
 #include "core/database.h"
 #include "datasets/augment.h"
-#include "index/indexed_bwm.h"
 #include "test_util.h"
 
 namespace mmdb {
 namespace {
 
 using mmdb::testing::AsSet;
+using mmdb::testing::TempPath;
 
 class IndexedBwmEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
@@ -63,7 +63,7 @@ TEST(IndexedBwmTest, IndexStaysInSyncThroughInsertAndDelete) {
 }
 
 TEST(IndexedBwmTest, ReopenedDatabaseRebuildsIndex) {
-  const std::string path = ::testing::TempDir() + "/mmdb_ibwm_test.db";
+  const std::string path = TempPath("mmdb_ibwm_test.db");
   std::remove(path.c_str());
   std::remove((path + ".journal").c_str());
   RangeQuery query;

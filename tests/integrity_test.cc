@@ -7,6 +7,8 @@
 namespace mmdb {
 namespace {
 
+using mmdb::testing::TempPath;
+
 TEST(IntegrityTest, FreshDatabasePassesDeepScan) {
   auto db = MultimediaDatabase::Open().value();
   datasets::DatasetSpec spec;
@@ -51,7 +53,7 @@ TEST(IntegrityTest, SurvivesInsertDeleteChurn) {
 }
 
 TEST(IntegrityTest, ReopenedDiskDatabasePasses) {
-  const std::string path = ::testing::TempDir() + "/mmdb_integrity.db";
+  const std::string path = TempPath("mmdb_integrity.db");
   std::remove(path.c_str());
   {
     DatabaseOptions options;

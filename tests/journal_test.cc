@@ -7,18 +7,13 @@
 #include "core/database.h"
 #include "storage/journal.h"
 #include "storage/object_store.h"
+#include "test_util.h"
 #include "util/random.h"
 
 namespace mmdb {
 namespace {
 
-/// Suffixes the running test's name so fixture instances stay disjoint
-/// when ctest runs each discovered test as its own parallel process.
-std::string TempPath(const std::string& name) {
-  const auto* info =
-      ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "/" + name + "." + info->name();
-}
+using mmdb::testing::TempPath;
 
 class JournalTest : public ::testing::Test {
  protected:

@@ -9,6 +9,7 @@ namespace mmdb {
 namespace {
 
 using mmdb::testing::AsSet;
+using mmdb::testing::TempPath;
 
 TEST(LuvConversionTest, ReferenceValues) {
   // White: L = 100, u = v = 0.
@@ -139,7 +140,7 @@ TEST(LuvDatabaseTest, MethodsAgreeUnderLuv) {
 }
 
 TEST(LuvDatabaseTest, LuvPersistsAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "/mmdb_luv_test.db";
+  const std::string path = TempPath("mmdb_luv_test.db");
   std::remove(path.c_str());
   {
     DatabaseOptions options;

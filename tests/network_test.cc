@@ -48,9 +48,7 @@ using net::QueryServer;
 using net::ServerOptions;
 using net::WireWriter;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using mmdb::testing::TempPath;
 
 void RemoveStoreFiles(const std::string& path) {
   std::remove(path.c_str());

@@ -9,6 +9,8 @@
 namespace mmdb {
 namespace {
 
+using mmdb::testing::TempPath;
+
 Image SamplePattern() {
   Image image(3, 2);
   image.At(0, 0) = Rgb(255, 0, 0);
@@ -142,7 +144,7 @@ TEST(PpmIoTest, RejectsMaxvalOutOfRange) {
 
 TEST(PpmIoTest, FileRoundTrip) {
   const Image original = SamplePattern();
-  const std::string path = ::testing::TempDir() + "/mmdb_ppm_test.ppm";
+  const std::string path = TempPath("mmdb_ppm_test.ppm");
   ASSERT_TRUE(WritePpmFile(original, path).ok());
   Result<Image> decoded = ReadPpmFile(path);
   ASSERT_TRUE(decoded.ok());

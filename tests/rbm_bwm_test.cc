@@ -3,7 +3,6 @@
 #include "core/bwm.h"
 #include "core/database.h"
 #include "core/instantiate.h"
-#include "core/rbm.h"
 #include "datasets/augment.h"
 #include "test_util.h"
 #include "util/random.h"

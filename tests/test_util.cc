@@ -1,5 +1,8 @@
 #include "test_util.h"
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 
@@ -119,6 +122,18 @@ EditScript RandomScript(
     }
   }
   return script;
+}
+
+std::string TempPath(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string test = info == nullptr ? std::string("no_test")
+                                     : std::string(info->test_suite_name()) +
+                                           "." + info->name();
+  // Parameterized suites and tests carry '/' in their names.
+  std::replace(test.begin(), test.end(), '/', '_');
+  return ::testing::TempDir() + "/" + test + "." + std::to_string(getpid()) +
+         "." + name;
 }
 
 std::set<ObjectId> AsSet(const std::vector<ObjectId>& ids) {

@@ -7,12 +7,15 @@
 
 #include "storage/env.h"
 #include "storage/object_store.h"
+#include "test_util.h"
 
 namespace mmdb {
 namespace {
 
+using mmdb::testing::TempPath;
+
 std::string StorePath() {
-  return ::testing::TempDir() + "/mmdb_torture.db";
+  return TempPath("mmdb_torture.db");
 }
 
 void RemoveStoreFiles(const std::string& path) {
