@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "core/bounds.h"
+#include "core/similarity.h"
 
 namespace mmdb {
 
@@ -48,21 +48,14 @@ double DominantColorSimilarity(const std::vector<DominantColor>& a,
 Result<DominantCandidates> ClassifyDominantBins(
     const AugmentedCollection& collection, const RuleEngine& engine,
     const EditedImageInfo& edited, double min_fraction) {
-  const BinaryImageInfo* base = collection.FindBinary(edited.script.base_id);
-  if (base == nullptr) {
-    return Status::Corruption("edited image " + std::to_string(edited.id) +
-                              " references missing base");
-  }
-  const TargetBoundsResolver resolver = collection.MakeTargetResolver(engine);
+  MMDB_ASSIGN_OR_RETURN(
+      auto bounds,
+      SimilaritySearcher(&collection, &engine).AllBinBounds(edited));
+  const auto& [lo, hi] = bounds;
   DominantCandidates out;
-  for (BinIndex bin = 0; bin < engine.quantizer().BinCount(); ++bin) {
-    MMDB_ASSIGN_OR_RETURN(
-        FractionBounds bounds,
-        ComputeBounds(engine, edited.script, bin,
-                      base->histogram.Count(bin), base->width, base->height,
-                      resolver));
-    if (bounds.min_fraction >= min_fraction) out.must.push_back(bin);
-    if (bounds.max_fraction >= min_fraction) out.may.push_back(bin);
+  for (size_t bin = 0; bin < lo.size(); ++bin) {
+    if (lo[bin] >= min_fraction) out.must.push_back(static_cast<BinIndex>(bin));
+    if (hi[bin] >= min_fraction) out.may.push_back(static_cast<BinIndex>(bin));
   }
   return out;
 }
