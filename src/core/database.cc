@@ -55,6 +55,44 @@ obs::SpanCategory* QuerySpanFor(QueryMethod method) {
   return it != table->end() ? it->second : nullptr;
 }
 
+/// The range and conjunctive query paths: a range query runs as a
+/// one-conjunct conjunction and records its metrics under `kind`.
+Result<QueryResult> RunScan(const MultimediaDatabase& db,
+                            const ConjunctiveQuery& query, QueryMethod method,
+                            QueryKind kind, const QueryContext& ctx) {
+  obs::Span span(QuerySpanFor(method));
+  // Publish the limits thread-locally so the storage read path (which the
+  // context is not threaded through) honors them per page.
+  CancelScope scope(ctx);
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+    MMDB_RETURN_IF_ERROR(
+        ValidateConjunctive(query, db.quantizer().BinCount()));
+    MMDB_ASSIGN_OR_RETURN(std::unique_ptr<QueryProcessor> processor,
+                          db.MakeProcessor(method));
+    return processor->RunConjunctive(query, ctx);
+  }();
+  RecordQueryMetrics(method, kind, result);
+  return result;
+}
+
+/// Refuses while some stored edited image other than `id` merges into
+/// `id`.
+Status CheckNotMergeTarget(const AugmentedCollection& collection,
+                           ObjectId id) {
+  for (ObjectId other_id : collection.edited_ids()) {
+    if (other_id == id) continue;
+    for (const EditOp& op : collection.FindEdited(other_id)->script.ops) {
+      const MergeOp* merge = std::get_if<MergeOp>(&op);
+      if (merge != nullptr && merge->target == id) {
+        return Status::InvalidArgument("image " + std::to_string(id) +
+                                       " is a merge target of " +
+                                       std::to_string(other_id));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<QueryProcessor>> MultimediaDatabase::MakeProcessor(
@@ -395,25 +433,8 @@ Result<QueryResult> MultimediaDatabase::RunRange(const RangeQuery& query,
 Result<QueryResult> MultimediaDatabase::RunRange(
     const RangeQuery& query, QueryMethod method,
     const QueryContext& ctx) const {
-  obs::Span span(QuerySpanFor(method));
-  // Publish the limits thread-locally so the storage read path (which the
-  // context is not threaded through) honors them per page.
-  CancelScope scope(ctx);
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    if (query.bin < 0 || query.bin >= quantizer_.BinCount()) {
-      return Status::InvalidArgument("query bin " +
-                                     std::to_string(query.bin) +
-                                     " out of range");
-    }
-    if (query.min_fraction > query.max_fraction) {
-      return Status::InvalidArgument("query range is empty");
-    }
-    MMDB_ASSIGN_OR_RETURN(std::unique_ptr<QueryProcessor> processor,
-                          MakeProcessor(method));
-    return processor->RunRange(query, ctx);
-  }();
-  RecordQueryMetrics(method, QueryKind::kRange, result);
-  return result;
+  return RunScan(*this, ConjunctiveQuery{{query}}, method, QueryKind::kRange,
+                 ctx);
 }
 
 Result<QueryResult> MultimediaDatabase::RunConjunctive(
@@ -424,26 +445,7 @@ Result<QueryResult> MultimediaDatabase::RunConjunctive(
 Result<QueryResult> MultimediaDatabase::RunConjunctive(
     const ConjunctiveQuery& query, QueryMethod method,
     const QueryContext& ctx) const {
-  obs::Span span(QuerySpanFor(method));
-  CancelScope scope(ctx);
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    if (query.conjuncts.empty()) {
-      return Status::InvalidArgument("conjunctive query has no conjuncts");
-    }
-    for (const RangeQuery& conjunct : query.conjuncts) {
-      if (conjunct.bin < 0 || conjunct.bin >= quantizer_.BinCount()) {
-        return Status::InvalidArgument("conjunct bin out of range");
-      }
-      if (conjunct.min_fraction > conjunct.max_fraction) {
-        return Status::InvalidArgument("conjunct range is empty");
-      }
-    }
-    MMDB_ASSIGN_OR_RETURN(std::unique_ptr<QueryProcessor> processor,
-                          MakeProcessor(method));
-    return processor->RunConjunctive(query, ctx);
-  }();
-  RecordQueryMetrics(method, QueryKind::kConjunctive, result);
-  return result;
+  return RunScan(*this, query, method, QueryKind::kConjunctive, ctx);
 }
 
 Result<QueryResult> MultimediaDatabase::RunSimilarity(
@@ -458,19 +460,7 @@ Result<QueryResult> MultimediaDatabase::RunSimilarity(
   obs::Span span(category);
   CancelScope scope(ctx);
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    if (query.k == 0) {
-      return Status::InvalidArgument("similarity query k must be > 0");
-    }
-    if (query.histogram.BinCount() != quantizer_.BinCount()) {
-      return Status::InvalidArgument(
-          "similarity query histogram has " +
-          std::to_string(query.histogram.BinCount()) + " bins; database has " +
-          std::to_string(quantizer_.BinCount()));
-    }
-    if (query.histogram.Total() <= 0) {
-      return Status::InvalidArgument(
-          "similarity query histogram is empty (no pixel mass)");
-    }
+    MMDB_RETURN_IF_ERROR(ValidateSimilarity(query, quantizer_.BinCount()));
     SimilaritySearcher searcher(&collection_, &rule_engine_);
     QueryResult out;
     MMDB_ASSIGN_OR_RETURN(out.matches,
@@ -486,20 +476,7 @@ Result<QueryResult> MultimediaDatabase::RunSimilarity(
 
 Status MultimediaDatabase::DeleteImage(ObjectId id) {
   if (const EditedImageInfo* edited = collection_.FindEdited(id)) {
-    // Refuse while some other edited image merges into this one.
-    for (ObjectId other_id : collection_.edited_ids()) {
-      if (other_id == id) continue;
-      const EditedImageInfo* other = collection_.FindEdited(other_id);
-      for (const EditOp& op : other->script.ops) {
-        if (GetOpType(op) != EditOpType::kMerge) continue;
-        const MergeOp& merge = std::get<MergeOp>(op);
-        if (merge.target.has_value() && *merge.target == id) {
-          return Status::InvalidArgument(
-              "image " + std::to_string(id) + " is a merge target of " +
-              std::to_string(other_id));
-        }
-      }
-    }
+    MMDB_RETURN_IF_ERROR(CheckNotMergeTarget(collection_, id));
     const ObjectId base_id = edited->script.base_id;
     // Store mutations first (atomically), in-memory state after.
     MMDB_RETURN_IF_ERROR(WithBatch([&]() -> Status {
@@ -514,18 +491,7 @@ Status MultimediaDatabase::DeleteImage(ObjectId id) {
   if (collection_.FindBinary(id) != nullptr) {
     // Refuse while referenced as a base (checked by the collection) or
     // as a merge target of any stored edited image.
-    for (ObjectId other_id : collection_.edited_ids()) {
-      const EditedImageInfo* other = collection_.FindEdited(other_id);
-      for (const EditOp& op : other->script.ops) {
-        if (GetOpType(op) != EditOpType::kMerge) continue;
-        const MergeOp& merge = std::get<MergeOp>(op);
-        if (merge.target.has_value() && *merge.target == id) {
-          return Status::InvalidArgument(
-              "image " + std::to_string(id) + " is a merge target of " +
-              std::to_string(other_id));
-        }
-      }
-    }
+    MMDB_RETURN_IF_ERROR(CheckNotMergeTarget(collection_, id));
     const BinaryImageInfo* info = collection_.FindBinary(id);
     const HyperRect index_key =
         HyperRect::Point(info->histogram.Normalized());

@@ -9,6 +9,7 @@
 #include "core/histogram.h"
 #include "core/quantizer.h"
 #include "editops/edit_ops.h"
+#include "util/status.h"
 
 namespace mmdb {
 
@@ -102,6 +103,16 @@ struct SimilarityQuery {
            "-bin histogram>, " + std::to_string(k) + ")";
   }
 };
+
+/// The one check of a range or conjunctive payload against a database
+/// of `bin_count` bins, shared by the query paths and `ExplainQuery`: at
+/// least one conjunct, every bin in range, every window non-empty. A
+/// range query is checked as a one-conjunct conjunction.
+Status ValidateConjunctive(const ConjunctiveQuery& query, BinIndex bin_count);
+
+/// The one check of a top-k payload: k > 0, one count per database bin,
+/// and some pixel mass.
+Status ValidateSimilarity(const SimilarityQuery& query, BinIndex bin_count);
 
 /// One similarity-search answer. For binary images the L1 distance to the
 /// query is exact (`lo == hi`); for edited images it is an interval

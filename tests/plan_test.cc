@@ -244,6 +244,46 @@ TEST(ExplainQueryTest, RendersSimilarityScanShape) {
   EXPECT_FALSE(ExplainQuery(*db, QueryRequest::Similarity(bad)).ok());
 }
 
+TEST(ExplainQueryTest, RejectsWhatTheQueryPathRejects) {
+  // Explain validates with the query path's own validator, so it never
+  // renders a plan for a request the database would refuse to run.
+  auto db = MakeAugmentedDataset(20, 3317);
+  SimilarityQuery massless;
+  massless.histogram = ColorHistogram(db->quantizer().BinCount());
+  massless.k = 5;
+  EXPECT_EQ(db->RunSimilarity(massless).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ExplainQuery(*db, QueryRequest::Similarity(massless)).status().code(),
+      StatusCode::kInvalidArgument);
+
+  SimilarityQuery no_k = massless;
+  no_k.histogram.Add(db->BinOf(colors::kBlue), 1);
+  no_k.k = 0;
+  EXPECT_EQ(db->RunSimilarity(no_k).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExplainQuery(*db, QueryRequest::Similarity(no_k)).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const RangeQuery out_of_range{db->quantizer().BinCount(), 0.0, 1.0};
+  EXPECT_EQ(db->RunRange(out_of_range, QueryMethod::kBwm).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExplainQuery(*db, QueryRequest::Range(out_of_range,
+                                                   QueryMethod::kBwm))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  const ConjunctiveQuery empty_window{{RangeQuery{0, 0.5, 0.25}}};
+  EXPECT_EQ(
+      db->RunConjunctive(empty_window, QueryMethod::kPlanned).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExplainQuery(*db, QueryRequest::Conjunctive(empty_window,
+                                                         QueryMethod::kPlanned))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SimilarityContractTest, KnnIntervalsContainTrueDistancesAndTopK) {
   // No-false-negatives: every returned interval must contain the true
   // L1 distance of the instantiated image, and the k matches with the
