@@ -22,9 +22,7 @@ void AxisReplication(int32_t old_extent, int32_t new_extent, double s,
   }
   std::vector<int64_t> hits(static_cast<size_t>(old_extent), 0);
   for (int32_t x = 0; x < new_extent; ++x) {
-    const int32_t src = std::clamp(
-        static_cast<int32_t>(std::floor((x + 0.5) / s)), 0, old_extent - 1);
-    ++hits[static_cast<size_t>(src)];
+    ++hits[static_cast<size_t>(MutateOp::SourceCell(x, s, old_extent))];
   }
   *min_hits = hits[0];
   *max_hits = hits[0];
@@ -32,32 +30,6 @@ void AxisReplication(int32_t old_extent, int32_t new_extent, double s,
     *min_hits = std::min(*min_hits, h);
     *max_hits = std::max(*max_hits, h);
   }
-}
-
-/// Destination bounding box of `dr` under matrix `op`, clipped to the
-/// canvas — mirrors `Editor::ApplyMutate`'s stamp region exactly.
-Rect MutateDestBox(const MutateOp& op, const Rect& dr, const Rect& canvas) {
-  double min_x = 1e30, min_y = 1e30, max_x = -1e30, max_y = -1e30;
-  const double corner_xs[2] = {static_cast<double>(dr.x0),
-                               static_cast<double>(dr.x1)};
-  const double corner_ys[2] = {static_cast<double>(dr.y0),
-                               static_cast<double>(dr.y1)};
-  for (double cx : corner_xs) {
-    for (double cy : corner_ys) {
-      double tx, ty;
-      if (!op.Apply(cx, cy, &tx, &ty)) return canvas;  // Degenerate: worst
-                                                       // case, whole canvas.
-      min_x = std::min(min_x, tx);
-      min_y = std::min(min_y, ty);
-      max_x = std::max(max_x, tx);
-      max_y = std::max(max_y, ty);
-    }
-  }
-  return Rect(static_cast<int32_t>(std::floor(min_x)),
-              static_cast<int32_t>(std::floor(min_y)),
-              static_cast<int32_t>(std::ceil(max_x)) + 1,
-              static_cast<int32_t>(std::ceil(max_y)) + 1)
-      .Intersect(canvas);
 }
 
 }  // namespace
@@ -156,10 +128,8 @@ void RuleEngine::ApplyMutate(const MutateOp& op, RuleState* state) const {
     // hence the total pixel count) are exact in both modes.
     const double sx = op.m[0];
     const double sy = op.m[4];
-    const int32_t new_w =
-        static_cast<int32_t>(std::lround(state->width * sx));
-    const int32_t new_h =
-        static_cast<int32_t>(std::lround(state->height * sy));
+    const int32_t new_w = MutateOp::ScaledExtent(state->width, sx);
+    const int32_t new_h = MutateOp::ScaledExtent(state->height, sy);
     if (options_.paper_strict) {
       // Multiply the bin bounds by M11 * M22 verbatim.
       const double factor = sx * sy;
@@ -186,8 +156,9 @@ void RuleEngine::ApplyMutate(const MutateOp& op, RuleState* state) const {
 
   // Stamp semantics: only pixels inside the clipped destination box can
   // change, and at most ~|DR| of them have preimages inside the DR.
-  const Rect dest =
-      MutateDestBox(op, state->defined_region, state->CanvasBounds());
+  // A stamp through a degenerate projection may write anywhere.
+  const Rect dest = op.StampBox(state->defined_region, state->CanvasBounds())
+                        .value_or(state->CanvasBounds());
   int64_t changed;
   if (op.IsRigidBody()) {
     // Table 1 "Rigid Body": adjust by |DR| — plus, in sound mode, a

@@ -100,20 +100,14 @@ Status Editor::ApplyMutate(const MutateOp& op, State* state) const {
     // Table 1 "DR contains image" scaling case.
     const double sx = op.m[0];
     const double sy = op.m[4];
-    const int32_t new_w =
-        static_cast<int32_t>(std::lround(canvas.width() * sx));
-    const int32_t new_h =
-        static_cast<int32_t>(std::lround(canvas.height() * sy));
+    const int32_t new_w = MutateOp::ScaledExtent(canvas.width(), sx);
+    const int32_t new_h = MutateOp::ScaledExtent(canvas.height(), sy);
     Image resized(new_w, new_h);
     for (int32_t y = 0; y < new_h; ++y) {
-      const int32_t src_y = std::clamp(
-          static_cast<int32_t>(std::floor((y + 0.5) / sy)), 0,
-          canvas.height() - 1);
+      const int32_t src_y = MutateOp::SourceCell(y, sy, canvas.height());
       for (int32_t x = 0; x < new_w; ++x) {
-        const int32_t src_x = std::clamp(
-            static_cast<int32_t>(std::floor((x + 0.5) / sx)), 0,
-            canvas.width() - 1);
-        resized.At(x, y) = canvas.At(src_x, src_y);
+        resized.At(x, y) =
+            canvas.At(MutateOp::SourceCell(x, sx, canvas.width()), src_y);
       }
     }
     state->canvas = std::move(resized);
@@ -132,34 +126,13 @@ Status Editor::ApplyMutate(const MutateOp& op, State* state) const {
   }
   if (dr.Empty()) return Status::OK();
 
-  // Bounding box of the transformed DR corners, clipped to the canvas.
-  double min_x = 1e30, min_y = 1e30, max_x = -1e30, max_y = -1e30;
-  const double corner_xs[2] = {static_cast<double>(dr.x0),
-                               static_cast<double>(dr.x1)};
-  const double corner_ys[2] = {static_cast<double>(dr.y0),
-                               static_cast<double>(dr.y1)};
-  for (double cx : corner_xs) {
-    for (double cy : corner_ys) {
-      double tx, ty;
-      if (!op.Apply(cx, cy, &tx, &ty)) {
-        return Status::InvalidArgument("Mutate: degenerate projection");
-      }
-      min_x = std::min(min_x, tx);
-      min_y = std::min(min_y, ty);
-      max_x = std::max(max_x, tx);
-      max_y = std::max(max_y, ty);
-    }
+  const std::optional<Rect> dest = op.StampBox(dr, canvas.Bounds());
+  if (!dest.has_value()) {
+    return Status::InvalidArgument("Mutate: degenerate projection");
   }
-  const Rect dest =
-      Rect(static_cast<int32_t>(std::floor(min_x)),
-           static_cast<int32_t>(std::floor(min_y)),
-           static_cast<int32_t>(std::ceil(max_x)) + 1,
-           static_cast<int32_t>(std::ceil(max_y)) + 1)
-          .Intersect(canvas.Bounds());
-
   const Image snapshot = canvas;
-  for (int32_t y = dest.y0; y < dest.y1; ++y) {
-    for (int32_t x = dest.x0; x < dest.x1; ++x) {
+  for (int32_t y = dest->y0; y < dest->y1; ++y) {
+    for (int32_t x = dest->x0; x < dest->x1; ++x) {
       double sx_f, sy_f;
       if (!inverse->Apply(x + 0.5, y + 0.5, &sx_f, &sy_f)) continue;
       const int32_t src_x = static_cast<int32_t>(std::floor(sx_f));
