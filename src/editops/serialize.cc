@@ -1,6 +1,6 @@
 #include "editops/serialize.h"
 
-#include <cstring>
+#include "util/wire.h"
 
 namespace mmdb {
 
@@ -8,172 +8,108 @@ namespace {
 
 constexpr uint8_t kFormatVersion = 1;
 
-void PutU8(std::string& out, uint8_t v) {
-  out.push_back(static_cast<char>(v));
+Status Truncated() {
+  return Status::Corruption("edit script: truncated record");
 }
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI32(std::string& out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutF64(std::string& out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-/// Cursor over the encoded buffer with bounds-checked reads.
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  Result<uint8_t> U8() {
-    if (pos_ + 1 > data_.size()) return Truncated();
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-  Result<uint32_t> U32() {
-    if (pos_ + 4 > data_.size()) return Truncated();
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  Result<uint64_t> U64() {
-    if (pos_ + 8 > data_.size()) return Truncated();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  Result<int32_t> I32() {
-    MMDB_ASSIGN_OR_RETURN(uint32_t v, U32());
-    return static_cast<int32_t>(v);
-  }
-  Result<double> F64() {
-    MMDB_ASSIGN_OR_RETURN(uint64_t bits, U64());
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  static Status Truncated() {
-    return Status::Corruption("edit script: truncated record");
-  }
-  const std::string& data_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
 std::string EncodeEditScript(const EditScript& script) {
-  std::string out;
-  PutU8(out, kFormatVersion);
-  PutU64(out, script.base_id);
-  PutU32(out, static_cast<uint32_t>(script.ops.size()));
+  WireWriter w;
+  w.PutU8(kFormatVersion);
+  w.PutU64(script.base_id);
+  w.PutU32(static_cast<uint32_t>(script.ops.size()));
   for (const EditOp& op : script.ops) {
-    PutU8(out, static_cast<uint8_t>(GetOpType(op)));
+    w.PutU8(static_cast<uint8_t>(GetOpType(op)));
     std::visit(
-        [&out](const auto& concrete) {
+        [&w](const auto& concrete) {
           using T = std::decay_t<decltype(concrete)>;
           if constexpr (std::is_same_v<T, DefineOp>) {
-            PutI32(out, concrete.region.x0);
-            PutI32(out, concrete.region.y0);
-            PutI32(out, concrete.region.x1);
-            PutI32(out, concrete.region.y1);
+            w.PutI32(concrete.region.x0);
+            w.PutI32(concrete.region.y0);
+            w.PutI32(concrete.region.x1);
+            w.PutI32(concrete.region.y1);
           } else if constexpr (std::is_same_v<T, CombineOp>) {
-            for (double w : concrete.weights) PutF64(out, w);
+            for (double weight : concrete.weights) w.PutF64(weight);
           } else if constexpr (std::is_same_v<T, ModifyOp>) {
-            PutU32(out, concrete.old_color.Packed());
-            PutU32(out, concrete.new_color.Packed());
+            w.PutU32(concrete.old_color.Packed());
+            w.PutU32(concrete.new_color.Packed());
           } else if constexpr (std::is_same_v<T, MutateOp>) {
-            for (double v : concrete.m) PutF64(out, v);
+            for (double v : concrete.m) w.PutF64(v);
           } else {
             // MergeOp.
-            PutU8(out, concrete.target.has_value() ? 1 : 0);
-            PutU64(out, concrete.target.value_or(kInvalidObjectId));
-            PutI32(out, concrete.x);
-            PutI32(out, concrete.y);
+            w.PutU8(concrete.target.has_value() ? 1 : 0);
+            w.PutU64(concrete.target.value_or(kInvalidObjectId));
+            w.PutI32(concrete.x);
+            w.PutI32(concrete.y);
           }
         },
         op);
   }
-  return out;
+  return w.Take();
 }
 
 Result<EditScript> DecodeEditScript(const std::string& data) {
-  Reader reader(data);
-  MMDB_ASSIGN_OR_RETURN(uint8_t version, reader.U8());
+  WireReader reader(data);
+  uint8_t version = 0;
+  if (!reader.GetU8(&version)) return Truncated();
   if (version != kFormatVersion) {
     return Status::Corruption("edit script: unknown format version " +
                               std::to_string(version));
   }
   EditScript script;
-  MMDB_ASSIGN_OR_RETURN(script.base_id, reader.U64());
-  MMDB_ASSIGN_OR_RETURN(uint32_t op_count, reader.U32());
+  uint32_t op_count = 0;
+  if (!reader.GetU64(&script.base_id) || !reader.GetU32(&op_count)) {
+    return Truncated();
+  }
   if (op_count > (1u << 24)) {
     return Status::Corruption("edit script: implausible op count");
   }
   script.ops.reserve(op_count);
   for (uint32_t i = 0; i < op_count; ++i) {
-    MMDB_ASSIGN_OR_RETURN(uint8_t raw_type, reader.U8());
+    uint8_t raw_type = 0;
+    if (!reader.GetU8(&raw_type)) return Truncated();
+    // Each case reads its fields; the reader's sticky failure flag is
+    // checked once the op is read.
     switch (static_cast<EditOpType>(raw_type)) {
       case EditOpType::kDefine: {
         DefineOp op;
-        MMDB_ASSIGN_OR_RETURN(op.region.x0, reader.I32());
-        MMDB_ASSIGN_OR_RETURN(op.region.y0, reader.I32());
-        MMDB_ASSIGN_OR_RETURN(op.region.x1, reader.I32());
-        MMDB_ASSIGN_OR_RETURN(op.region.y1, reader.I32());
+        reader.GetI32(&op.region.x0);
+        reader.GetI32(&op.region.y0);
+        reader.GetI32(&op.region.x1);
+        reader.GetI32(&op.region.y1);
         script.ops.emplace_back(op);
         break;
       }
       case EditOpType::kCombine: {
         CombineOp op;
-        for (double& w : op.weights) {
-          MMDB_ASSIGN_OR_RETURN(w, reader.F64());
-        }
+        for (double& weight : op.weights) reader.GetF64(&weight);
         script.ops.emplace_back(op);
         break;
       }
       case EditOpType::kModify: {
-        ModifyOp op;
-        MMDB_ASSIGN_OR_RETURN(uint32_t old_packed, reader.U32());
-        MMDB_ASSIGN_OR_RETURN(uint32_t new_packed, reader.U32());
-        op.old_color = Rgb::FromPacked(old_packed);
-        op.new_color = Rgb::FromPacked(new_packed);
-        script.ops.emplace_back(op);
+        uint32_t old_packed = 0, new_packed = 0;
+        reader.GetU32(&old_packed);
+        reader.GetU32(&new_packed);
+        script.ops.emplace_back(ModifyOp{Rgb::FromPacked(old_packed),
+                                         Rgb::FromPacked(new_packed)});
         break;
       }
       case EditOpType::kMutate: {
         MutateOp op;
-        for (double& v : op.m) {
-          MMDB_ASSIGN_OR_RETURN(v, reader.F64());
-        }
+        for (double& v : op.m) reader.GetF64(&v);
         script.ops.emplace_back(op);
         break;
       }
       case EditOpType::kMerge: {
         MergeOp op;
-        MMDB_ASSIGN_OR_RETURN(uint8_t has_target, reader.U8());
-        MMDB_ASSIGN_OR_RETURN(uint64_t target, reader.U64());
+        uint8_t has_target = 0;
+        uint64_t target = 0;
+        reader.GetU8(&has_target);
+        reader.GetU64(&target);
         if (has_target) op.target = target;
-        MMDB_ASSIGN_OR_RETURN(op.x, reader.I32());
-        MMDB_ASSIGN_OR_RETURN(op.y, reader.I32());
+        reader.GetI32(&op.x);
+        reader.GetI32(&op.y);
         script.ops.emplace_back(op);
         break;
       }
@@ -181,8 +117,9 @@ Result<EditScript> DecodeEditScript(const std::string& data) {
         return Status::Corruption("edit script: unknown op tag " +
                                   std::to_string(raw_type));
     }
+    if (reader.failed()) return Truncated();
   }
-  if (!reader.AtEnd()) {
+  if (reader.remaining() != 0) {
     return Status::Corruption("edit script: trailing bytes");
   }
   return script;

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "net/status_codes.h"
-#include "net/wire.h"
+#include "util/wire.h"
 
 namespace mmdb::net {
 

@@ -14,6 +14,8 @@
 #include <cstring>
 #include <utility>
 
+#include "util/wire.h"
+
 namespace mmdb::net {
 
 namespace {
@@ -236,13 +238,14 @@ void ListenSocket::Close() {
   }
 }
 
+static_assert(kLengthPrefixBytes == sizeof(uint32_t),
+              "the frame length prefix is one u32");
+
 Status WriteFrame(Socket& socket, std::string_view payload) {
-  char prefix[kLengthPrefixBytes];
-  const uint32_t length = static_cast<uint32_t>(payload.size());
-  for (size_t i = 0; i < kLengthPrefixBytes; ++i) {
-    prefix[i] = static_cast<char>((length >> (8 * i)) & 0xff);
-  }
-  MMDB_RETURN_IF_ERROR(socket.SendAll(prefix, sizeof(prefix)));
+  WireWriter prefix;
+  prefix.PutU32(static_cast<uint32_t>(payload.size()));
+  MMDB_RETURN_IF_ERROR(
+      socket.SendAll(prefix.data().data(), prefix.data().size()));
   return socket.SendAll(payload.data(), payload.size());
 }
 
@@ -253,10 +256,7 @@ Status ReadFrame(Socket& socket, size_t max_frame_bytes,
   MMDB_RETURN_IF_ERROR(socket.RecvAll(prefix, sizeof(prefix), closed));
   if (closed != nullptr && *closed) return Status::OK();
   uint32_t length = 0;
-  for (size_t i = 0; i < kLengthPrefixBytes; ++i) {
-    length |= static_cast<uint32_t>(static_cast<uint8_t>(prefix[i]))
-              << (8 * i);
-  }
+  WireReader(std::string_view(prefix, sizeof(prefix))).GetU32(&length);
   if (length == 0) {
     return Status::InvalidArgument("zero-length frame");
   }

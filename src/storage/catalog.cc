@@ -1,6 +1,6 @@
 #include "storage/catalog.h"
 
-#include <cstring>
+#include "util/wire.h"
 
 namespace mmdb {
 
@@ -9,126 +9,84 @@ namespace {
 constexpr uint8_t kRowVersion = 1;
 constexpr uint8_t kMetaVersion = 2;
 
-void PutU8(std::string& out, uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
 Status Truncated() { return Status::Corruption("catalog: truncated record"); }
-
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-  Result<uint8_t> U8() {
-    if (pos_ + 1 > data_.size()) return Truncated();
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-  Result<uint32_t> U32() {
-    if (pos_ + 4 > data_.size()) return Truncated();
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  Result<uint64_t> U64() {
-    if (pos_ + 8 > data_.size()) return Truncated();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
 std::string EncodeCatalogRow(const CatalogRow& row) {
-  std::string out;
-  PutU8(out, kRowVersion);
-  PutU64(out, row.id);
-  PutU8(out, static_cast<uint8_t>(row.kind));
-  PutU32(out, static_cast<uint32_t>(row.width));
-  PutU32(out, static_cast<uint32_t>(row.height));
-  PutU32(out, static_cast<uint32_t>(row.histogram_counts.size()));
-  for (int64_t count : row.histogram_counts) {
-    PutU64(out, static_cast<uint64_t>(count));
-  }
-  return out;
+  WireWriter w;
+  w.PutU8(kRowVersion);
+  w.PutU64(row.id);
+  w.PutU8(static_cast<uint8_t>(row.kind));
+  w.PutI32(row.width);
+  w.PutI32(row.height);
+  w.PutU32(static_cast<uint32_t>(row.histogram_counts.size()));
+  for (int64_t count : row.histogram_counts) w.PutI64(count);
+  return w.Take();
 }
 
 Result<CatalogRow> DecodeCatalogRow(const std::string& data) {
-  Reader reader(data);
-  MMDB_ASSIGN_OR_RETURN(uint8_t version, reader.U8());
+  WireReader reader(data);
+  uint8_t version = 0;
+  if (!reader.GetU8(&version)) return Truncated();
   if (version != kRowVersion) {
     return Status::Corruption("catalog row: unknown version");
   }
   CatalogRow row;
-  MMDB_ASSIGN_OR_RETURN(row.id, reader.U64());
-  MMDB_ASSIGN_OR_RETURN(uint8_t kind, reader.U8());
+  uint8_t kind = 0;
+  if (!reader.GetU64(&row.id) || !reader.GetU8(&kind)) return Truncated();
   if (kind != static_cast<uint8_t>(ImageKind::kBinary) &&
       kind != static_cast<uint8_t>(ImageKind::kEdited)) {
     return Status::Corruption("catalog row: bad image kind");
   }
   row.kind = static_cast<ImageKind>(kind);
-  MMDB_ASSIGN_OR_RETURN(uint32_t width, reader.U32());
-  MMDB_ASSIGN_OR_RETURN(uint32_t height, reader.U32());
-  row.width = static_cast<int32_t>(width);
-  row.height = static_cast<int32_t>(height);
-  MMDB_ASSIGN_OR_RETURN(uint32_t bins, reader.U32());
+  uint32_t bins = 0;
+  if (!reader.GetI32(&row.width) || !reader.GetI32(&row.height) ||
+      !reader.GetU32(&bins)) {
+    return Truncated();
+  }
   if (bins > (1u << 24)) {
     return Status::Corruption("catalog row: implausible bin count");
   }
-  row.histogram_counts.reserve(bins);
-  for (uint32_t i = 0; i < bins; ++i) {
-    MMDB_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-    row.histogram_counts.push_back(static_cast<int64_t>(count));
+  row.histogram_counts.resize(bins);
+  for (int64_t& count : row.histogram_counts) {
+    if (!reader.GetI64(&count)) return Truncated();
   }
-  if (!reader.AtEnd()) return Status::Corruption("catalog row: trailing data");
+  if (reader.remaining() != 0) {
+    return Status::Corruption("catalog row: trailing data");
+  }
   return row;
 }
 
 std::string EncodeCatalogMeta(const CatalogMeta& meta) {
-  std::string out;
-  PutU8(out, kMetaVersion);
-  PutU64(out, meta.next_id);
-  PutU32(out, static_cast<uint32_t>(meta.quantizer_divisions));
-  PutU8(out, meta.color_space);
-  return out;
+  WireWriter w;
+  w.PutU8(kMetaVersion);
+  w.PutU64(meta.next_id);
+  w.PutI32(meta.quantizer_divisions);
+  w.PutU8(meta.color_space);
+  return w.Take();
 }
 
 Result<CatalogMeta> DecodeCatalogMeta(const std::string& data) {
-  Reader reader(data);
-  MMDB_ASSIGN_OR_RETURN(uint8_t version, reader.U8());
+  WireReader reader(data);
+  uint8_t version = 0;
+  if (!reader.GetU8(&version)) return Truncated();
   if (version != 1 && version != kMetaVersion) {
     return Status::Corruption("catalog meta: unknown version");
   }
   CatalogMeta meta;
-  MMDB_ASSIGN_OR_RETURN(meta.next_id, reader.U64());
-  MMDB_ASSIGN_OR_RETURN(uint32_t divisions, reader.U32());
-  meta.quantizer_divisions = static_cast<int32_t>(divisions);
+  if (!reader.GetU64(&meta.next_id) ||
+      !reader.GetI32(&meta.quantizer_divisions)) {
+    return Truncated();
+  }
   if (version >= 2) {
     // Version 1 predates configurable color spaces (implicitly RGB).
-    MMDB_ASSIGN_OR_RETURN(meta.color_space, reader.U8());
+    if (!reader.GetU8(&meta.color_space)) return Truncated();
     if (meta.color_space > 2) {
       return Status::Corruption("catalog meta: unknown color space");
     }
   }
-  if (!reader.AtEnd()) {
+  if (reader.remaining() != 0) {
     return Status::Corruption("catalog meta: trailing data");
   }
   return meta;

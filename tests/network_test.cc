@@ -31,11 +31,11 @@
 #include "net/server.h"
 #include "net/socket.h"
 #include "net/status_codes.h"
-#include "net/wire.h"
 #include "storage/env.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
+#include "util/wire.h"
 
 namespace mmdb {
 namespace {
@@ -46,7 +46,6 @@ using net::FrameType;
 using net::ParseFrame;
 using net::QueryServer;
 using net::ServerOptions;
-using net::WireWriter;
 
 using mmdb::testing::TempPath;
 
