@@ -40,11 +40,10 @@ class CorpusStats {
   /// linearly within partial buckets.
   static constexpr int kBuckets = 32;
 
-  /// Scans the collection once. `sample_limit` bounds the edited images
-  /// sampled (their base histograms stand in for the edited fractions,
-  /// which would each cost a full rule fold to bound exactly).
-  static CorpusStats Collect(const MultimediaDatabase& db,
-                             size_t sample_limit = 128);
+  /// Scans the collection once. At most 128 edited images are sampled
+  /// (their base histograms stand in for the edited fractions, which
+  /// would each cost a full rule fold to bound exactly).
+  static CorpusStats Collect(const MultimediaDatabase& db);
 
   /// Estimated fraction of stored images whose `query.bin` fraction lies
   /// in [min_fraction, max_fraction]; weights the binary and edited
@@ -75,28 +74,6 @@ class CorpusStats {
   /// One fraction-distribution histogram per bin, each side.
   std::vector<Buckets> binary_buckets_;
   std::vector<Buckets> sampled_buckets_;
-};
-
-/// The relative costs the planner charges, in units of one Table 1 rule
-/// application. The ratios are calibrated from the paper's Figures 3/4:
-/// instantiating an edited image costs orders of magnitude more than
-/// folding its rules; accepting a Main-cluster member is ~an order of
-/// magnitude cheaper than one rule fold; and the R-tree pays a traversal
-/// overhead that a linear histogram scan beats once a predicate stops
-/// being selective (the conventional-vs-indexed crossover).
-struct CostModel {
-  /// One rule application during a BOUNDS fold.
-  double rule_cost = 1.0;
-  /// One stored-histogram fraction test (conventional binary scan).
-  double histogram_probe = 0.25;
-  /// Accepting one Main-component member without touching its script.
-  double cluster_skip = 0.05;
-  /// Visiting one R-tree node (traversal + per-result overhead).
-  double index_node = 2.0;
-  /// Materializing one edited image (the kInstantiate baseline).
-  double instantiate_factor = 400.0;
-  /// One exact residual-conjunct test on a driver survivor.
-  double residual_filter = 0.25;
 };
 
 /// One conjunct's planning decision.
@@ -137,15 +114,16 @@ struct QueryPlan {
 /// candidates (kRbm / kBwm / kBwmIndexed — the conventional, clustered,
 /// and indexed compositions; kInstantiate is costed for comparison but
 /// never chosen, because its edited-image answers are exact rather than
-/// bounded and would change the result set).
+/// bounded and would change the result set). Costs come from the fixed,
+/// Fig 3/4-calibrated cost model in plan.cc.
 class QueryPlanner {
  public:
-  QueryPlanner(CorpusStats stats, CostModel model = {});
+  explicit QueryPlanner(CorpusStats stats);
 
   /// Convenience: plans against `db`'s cached corpus statistics
   /// (`MultimediaDatabase::PlannerStats`), so building a planner per
   /// query costs a snapshot copy, not a collection scan.
-  explicit QueryPlanner(const MultimediaDatabase& db, CostModel model = {});
+  explicit QueryPlanner(const MultimediaDatabase& db);
 
   /// Plans a conjunction (empty conjunctions are the caller's error and
   /// plan as a no-step plan).
@@ -162,7 +140,6 @@ class QueryPlanner {
 
  private:
   CorpusStats stats_;
-  CostModel model_;
 };
 
 /// The `QueryMethod::kPlanned` access path: plans the query, runs the

@@ -13,6 +13,11 @@ namespace mmdb::net {
 
 namespace {
 
+/// Extra wait past the request's own deadline before the client gives up
+/// on the socket locally: the server is expected to answer
+/// DeadlineExceeded itself, and the grace covers a dead server.
+constexpr double kDeadlineGraceSeconds = 2.0;
+
 obs::Counter* ReconnectsTotal() {
   static obs::Counter* const counter = obs::Registry::Default().GetCounter(
       "mmdb_net_client_reconnects_total",
@@ -124,12 +129,11 @@ Result<QueryResult> Client::ExecuteOnce(const QueryRequest& request,
   }
   // Bound the local wait by the request deadline plus grace, so a dead
   // server cannot park the caller past the deadline it asked for.
-  const bool timed = !request.deadline.IsInfinite() &&
-                     options_.deadline_grace_seconds > 0;
+  const bool timed = !request.deadline.IsInfinite();
   if (timed) {
     MMDB_RETURN_IF_ERROR(socket_.SetRecvTimeout(
         std::max(0.0, request.deadline.RemainingSeconds()) +
-        options_.deadline_grace_seconds));
+        kDeadlineGraceSeconds));
   }
   Status sent = WriteFrame(socket_, EncodeExecuteRequest(request));
   if (!sent.ok()) {

@@ -14,11 +14,6 @@ namespace mmdb::net {
 struct ClientOptions {
   /// Upper bound on one response frame.
   size_t max_frame_bytes = 16 * 1024 * 1024;
-  /// Extra wait past the request's own deadline before the client gives
-  /// up on the socket locally (the server is expected to answer
-  /// DeadlineExceeded itself; the grace covers a dead server). 0 waits
-  /// forever.
-  double deadline_grace_seconds = 2.0;
   /// Transparent reconnection on transient transport failure (connect
   /// refused, ECONNRESET, a server restart between requests): how many
   /// times `Connect` / an RPC will re-dial before giving up. 0 keeps

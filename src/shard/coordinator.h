@@ -17,14 +17,11 @@ namespace mmdb::shard {
 /// Fan-out policy.
 struct CoordinatorOptions {
   /// Fixed hedge delay; 0 prices it per shard from the shard's observed
-  /// p99 latency (`ShardHealth::HedgeDelaySeconds`, which starts at
-  /// `health.default_hedge_delay_seconds` until history accumulates).
+  /// p99 latency (`ShardHealth::HedgeDelaySeconds`, 50 ms until history
+  /// accumulates).
   double hedge_delay_seconds = 0.0;
   /// Total attempts per shard per query (primary + hedges/retries).
   int max_attempts_per_shard = 2;
-  /// Fraction of the query deadline the coordinator keeps for itself
-  /// (merge + bookkeeping); each shard gets the rest as its budget.
-  double merge_reserve_fraction = 0.1;
   /// Per-shard breaker / latency-tracking knobs.
   ShardHealthOptions health;
   /// Worker threads for dispatch. 0 sizes to 2 × shard count (every
@@ -65,15 +62,15 @@ struct ShardedResult {
 ///  * work counters are summed, then compensated for ghost double
 ///    scanning (see `MergeStatsCompensation` in the .cc).
 ///  * a similarity query runs with per-shard k inflated by the shard's
-///    ghost count, and the global top-k cutoff is recomputed over the
-///    deduplicated candidates — bit-identical intervals to the single
-///    store.
+///    ghost count, and the single store's top-k rule (`TopKCandidates`)
+///    is applied to the deduplicated candidates — bit-identical
+///    intervals to the single store.
 ///
 /// The failure envelope (docs/SHARDING.md):
 ///
-///  * each shard's budget is `Deadline::Budget(request.deadline,
-///    1 - merge_reserve_fraction)` — the coordinator always has time
-///    left to merge and answer.
+///  * each shard's budget is `Deadline::Budget(request.deadline, 0.9)`:
+///    the coordinator keeps the last tenth of the deadline, so it always
+///    has time left to merge and answer.
 ///  * a shard that has not answered after its hedge delay (p99-priced)
 ///    gets a second, hedged attempt on its next replica; first answer
 ///    wins, the loser is abandoned (its late write is discarded).

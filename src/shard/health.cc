@@ -9,9 +9,7 @@ ShardHealth::ShardHealth(size_t shards, ShardHealthOptions options)
     : options_(options) {
   slots_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
-    auto slot = std::make_unique<Slot>();
-    slot->latencies.resize(std::max<size_t>(1, options_.latency_window), 0.0);
-    slots_.push_back(std::move(slot));
+    slots_.push_back(std::make_unique<Slot>());
   }
 }
 
@@ -101,7 +99,7 @@ double ShardHealth::HedgeDelaySeconds(size_t shard) const {
   std::vector<double> window;
   {
     std::lock_guard<std::mutex> lock(slot.mu);
-    if (slot.filled == 0) return options_.default_hedge_delay_seconds;
+    if (slot.filled == 0) return kDefaultHedgeDelaySeconds;
     window.assign(slot.latencies.begin(),
                   slot.latencies.begin() +
                       static_cast<ptrdiff_t>(slot.filled));

@@ -1,6 +1,7 @@
 #ifndef MMDB_SHARD_HEALTH_H_
 #define MMDB_SHARD_HEALTH_H_
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -21,11 +22,6 @@ struct ShardHealthOptions {
   /// How long an open breaker blocks dispatch before admitting a single
   /// half-open trial request.
   double cooldown_seconds = 0.25;
-  /// Completed-request latencies remembered per shard for the p99
-  /// estimate behind the hedge delay.
-  size_t latency_window = 128;
-  /// Hedge delay used while a shard has no latency history yet.
-  double default_hedge_delay_seconds = 0.05;
 };
 
 /// Breaker state of one shard, mirroring the PR-4 `CircuitBreaker`
@@ -75,10 +71,16 @@ class ShardHealth {
 
   /// How long the coordinator waits on `shard`'s primary before
   /// launching a hedge: the p99 of the shard's recorded latencies, or
-  /// `default_hedge_delay_seconds` while the window is empty.
+  /// `kDefaultHedgeDelaySeconds` while the window is empty.
   double HedgeDelaySeconds(size_t shard) const;
 
  private:
+  /// Completed-request latencies remembered per shard for the p99
+  /// estimate behind the hedge delay.
+  static constexpr size_t kLatencyWindow = 128;
+  /// Hedge delay used while a shard has no latency history yet.
+  static constexpr double kDefaultHedgeDelaySeconds = 0.05;
+
   struct Slot {
     mutable std::mutex mu;
     BreakerState state = BreakerState::kClosed;
@@ -86,7 +88,7 @@ class ShardHealth {
     std::chrono::steady_clock::time_point opened_at{};
     bool probe_in_flight = false;
     /// Fixed-size latency ring.
-    std::vector<double> latencies;
+    std::array<double, kLatencyWindow> latencies{};
     size_t next = 0;
     size_t filled = 0;
   };
