@@ -10,6 +10,7 @@ namespace mmdb {
 namespace {
 
 using mmdb::testing::AsSet;
+using mmdb::testing::RemoveStoreFiles;
 using mmdb::testing::TempPath;
 
 TEST(DatabaseTest, InsertAndRetrieveBinaryImage) {
@@ -112,7 +113,7 @@ TEST(DatabaseTest, ThreeMethodsAgreeOnBinaryOnlyDatabase) {
 
 TEST(DatabaseTest, DiskDatabasePersistsAcrossReopen) {
   const std::string path = TempPath("mmdb_db_test.db");
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
 
   std::vector<ObjectId> binary_ids;
   ObjectId edited_id;
@@ -152,12 +153,12 @@ TEST(DatabaseTest, DiskDatabasePersistsAcrossReopen) {
   const ObjectId next =
       db->InsertBinaryImage(Image(4, 4, colors::kRed)).value();
   EXPECT_GT(next, edited_id);
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
 }
 
 TEST(DatabaseTest, ReopenedDatabaseAnswersQueriesIdentically) {
   const std::string path = TempPath("mmdb_db_requery.db");
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
   RangeQuery query;
   std::set<ObjectId> before;
   {
@@ -180,7 +181,7 @@ TEST(DatabaseTest, ReopenedDatabaseAnswersQueriesIdentically) {
   auto db = MultimediaDatabase::Open(options).value();
   const auto after = AsSet(db->RunRange(query, QueryMethod::kBwm).value().ids);
   EXPECT_EQ(before, after);
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
 }
 
 TEST(DatabaseTest, MergeTargetChainsInstantiate) {

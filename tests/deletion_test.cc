@@ -9,6 +9,7 @@ namespace mmdb {
 namespace {
 
 using mmdb::testing::AsSet;
+using mmdb::testing::RemoveStoreFiles;
 using mmdb::testing::TempPath;
 
 struct Fixture {
@@ -133,7 +134,7 @@ TEST(DeletionTest, UnclassifiedRemovalUpdatesBwmIndex) {
 
 TEST(DeletionTest, DiskDatabaseReflectsDeletionAfterReopen) {
   const std::string path = TempPath("mmdb_delete_test.db");
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
   ObjectId base, edited;
   {
     DatabaseOptions options;
@@ -153,7 +154,7 @@ TEST(DeletionTest, DiskDatabaseReflectsDeletionAfterReopen) {
   EXPECT_EQ(db->collection().EditedCount(), 0u);
   EXPECT_EQ(db->collection().BinaryCount(), 1u);
   EXPECT_TRUE(db->GetImage(base).ok());
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@ namespace mmdb {
 namespace {
 
 using mmdb::testing::AsSet;
+using mmdb::testing::RemoveStoreFiles;
 using mmdb::testing::TempPath;
 
 TEST(HsvQuantizerTest, SpaceNames) {
@@ -149,7 +150,7 @@ TEST(HsvDatabaseTest, MethodsAgreeUnderHsv) {
 
 TEST(HsvDatabaseTest, ColorSpacePersistsAcrossReopen) {
   const std::string path = TempPath("mmdb_hsv_test.db");
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
   {
     DatabaseOptions options;
     options.path = path;
@@ -164,7 +165,7 @@ TEST(HsvDatabaseTest, ColorSpacePersistsAcrossReopen) {
   auto db = MultimediaDatabase::Open(options).value();
   EXPECT_EQ(db->quantizer().space(), ColorSpace::kHsv);
   EXPECT_EQ(db->quantizer().divisions(), 6);
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
 }
 
 TEST(HsvDatabaseTest, MetaV1DecodesAsRgb) {

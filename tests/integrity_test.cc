@@ -7,6 +7,7 @@
 namespace mmdb {
 namespace {
 
+using mmdb::testing::RemoveStoreFiles;
 using mmdb::testing::TempPath;
 
 TEST(IntegrityTest, FreshDatabasePassesDeepScan) {
@@ -54,7 +55,7 @@ TEST(IntegrityTest, SurvivesInsertDeleteChurn) {
 
 TEST(IntegrityTest, ReopenedDiskDatabasePasses) {
   const std::string path = TempPath("mmdb_integrity.db");
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
   {
     DatabaseOptions options;
     options.path = path;
@@ -71,7 +72,7 @@ TEST(IntegrityTest, ReopenedDiskDatabasePasses) {
   auto db = MultimediaDatabase::Open(options).value();
   const auto report = db->VerifyIntegrity(/*deep_pixels=*/true);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@ namespace mmdb {
 namespace {
 
 using mmdb::testing::AsSet;
+using mmdb::testing::RemoveStoreFiles;
 using mmdb::testing::TempPath;
 
 TEST(LuvConversionTest, ReferenceValues) {
@@ -141,7 +142,7 @@ TEST(LuvDatabaseTest, MethodsAgreeUnderLuv) {
 
 TEST(LuvDatabaseTest, LuvPersistsAcrossReopen) {
   const std::string path = TempPath("mmdb_luv_test.db");
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
   {
     DatabaseOptions options;
     options.path = path;
@@ -154,7 +155,7 @@ TEST(LuvDatabaseTest, LuvPersistsAcrossReopen) {
   options.path = path;
   auto db = MultimediaDatabase::Open(options).value();
   EXPECT_EQ(db->quantizer().space(), ColorSpace::kLuv);
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 // then `ctest -L network`).
 
 #include <atomic>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,12 +46,8 @@ using net::ParseFrame;
 using net::QueryServer;
 using net::ServerOptions;
 
+using mmdb::testing::RemoveStoreFiles;
 using mmdb::testing::TempPath;
-
-void RemoveStoreFiles(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".journal").c_str());
-}
 
 RangeQuery RandomRange(Rng& rng) {
   RangeQuery range;

@@ -13,6 +13,7 @@
 namespace mmdb {
 namespace {
 
+using mmdb::testing::RemoveStoreFiles;
 using mmdb::testing::TempPath;
 
 class DiskManagerTest : public ::testing::Test {
@@ -294,7 +295,7 @@ TEST(MemoryObjectStoreTest, BasicOperations) {
 
 TEST(DiskObjectStoreTest, MatchesMemorySemantics) {
   const std::string path = TempPath("mmdb_dos_test.db");
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
   Rng rng(113);
   {
     auto store = DiskObjectStore::Open(path, 16).value();
@@ -320,7 +321,7 @@ TEST(DiskObjectStoreTest, MatchesMemorySemantics) {
     EXPECT_EQ(store->Keys(), reference.Keys());
     ASSERT_TRUE(store->Flush().ok());
   }
-  std::remove(path.c_str());
+  RemoveStoreFiles(path);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 namespace mmdb::testing {
 
@@ -134,6 +135,11 @@ std::string TempPath(const std::string& name) {
   std::replace(test.begin(), test.end(), '/', '_');
   return ::testing::TempDir() + "/" + test + "." + std::to_string(getpid()) +
          "." + name;
+}
+
+void RemoveStoreFiles(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".journal").c_str());
 }
 
 std::set<ObjectId> AsSet(const std::vector<ObjectId>& ids) {

@@ -38,6 +38,10 @@ EditScript RandomScript(ObjectId base_id, int32_t width, int32_t height,
 /// `ctest -j`.
 std::string TempPath(const std::string& name);
 
+/// Removes a disk store's page file and its `.journal` (either may be
+/// absent), so a test leaves no files behind.
+void RemoveStoreFiles(const std::string& path);
+
 /// Sorts a result id vector into a set for order-insensitive comparison.
 std::set<ObjectId> AsSet(const std::vector<ObjectId>& ids);
 
