@@ -18,6 +18,12 @@ namespace {
 /// DeadlineExceeded itself, and the grace covers a dead server.
 constexpr double kDeadlineGraceSeconds = 2.0;
 
+/// Re-dial backoff shape: the delay grows by this factor per attempt and
+/// is jittered by ±this fraction, so a fleet of clients re-dialing a
+/// restarted shard spreads out instead of stampeding.
+constexpr double kRetryBackoffMultiplier = 2.0;
+constexpr double kRetryJitterFraction = 0.25;
+
 obs::Counter* ReconnectsTotal() {
   static obs::Counter* const counter = obs::Registry::Default().GetCounter(
       "mmdb_net_client_reconnects_total",
@@ -50,16 +56,13 @@ void Client::SleepBackoff(int retry) const {
   // growth per attempt, jittered so synchronized clients of a restarted
   // server spread out instead of re-dialing in lockstep.
   double delay = options_.retry_backoff_seconds;
-  for (int i = 1; i < retry; ++i) delay *= options_.retry_backoff_multiplier;
-  if (options_.retry_jitter_fraction > 0.0) {
-    thread_local std::mt19937_64 rng(
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) ^
-        0x6d6d64625f6e6574ULL);
-    std::uniform_real_distribution<double> jitter(
-        1.0 - options_.retry_jitter_fraction,
-        1.0 + options_.retry_jitter_fraction);
-    delay *= jitter(rng);
-  }
+  for (int i = 1; i < retry; ++i) delay *= kRetryBackoffMultiplier;
+  thread_local std::mt19937_64 rng(
+      std::hash<std::thread::id>{}(std::this_thread::get_id()) ^
+      0x6d6d64625f6e6574ULL);
+  std::uniform_real_distribution<double> jitter(1.0 - kRetryJitterFraction,
+                                                1.0 + kRetryJitterFraction);
+  delay *= jitter(rng);
   if (delay > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(delay));
   }

@@ -21,13 +21,9 @@ struct ClientOptions {
   /// in `mmdb_net_client_reconnects_total`. Queries are read-only, so a
   /// reconnect-and-resend never double-applies anything.
   int connect_retries = 0;
-  /// First re-dial delay; grows by `retry_backoff_multiplier` per
-  /// attempt and is jittered by ±`retry_jitter_fraction` so a fleet of
-  /// clients re-dialing a restarted shard spreads out instead of
-  /// stampeding (the PR-4 storage retry idiom).
+  /// First re-dial delay; doubles per attempt and is jittered by ±25%
+  /// (see `Client::SleepBackoff`).
   double retry_backoff_seconds = 0.02;
-  double retry_backoff_multiplier = 2.0;
-  double retry_jitter_fraction = 0.25;
 };
 
 /// Out-slot for `Execute`: whether the answer covered the whole corpus,
