@@ -84,7 +84,7 @@ Status ScanQueryProcessor::WalkClusters(const ConjunctiveQuery& query,
                                         QueryResult* result) const {
   // One index probe answers a one-predicate base test for every cluster.
   const bool probed =
-      settings_.probe != nullptr && query.conjuncts.size() == 1;
+      settings_.probe != nullptr && ProbesIndex(query.conjuncts.size());
   std::vector<ObjectId> satisfied;
   if (probed) {
     MMDB_ASSIGN_OR_RETURN(satisfied,

@@ -46,6 +46,12 @@ class EditedImageBounder {
   const TargetBoundsResolver resolver_;
 };
 
+/// Whether a clustered scan with a `ScanSettings::probe` answers the
+/// base test with one index probe (checking only the probe's matches)
+/// rather than testing every base: only a one-conjunct query probes. The
+/// shard coordinator's ghost compensation asks the same question.
+inline bool ProbesIndex(size_t conjunct_count) { return conjunct_count == 1; }
+
 /// How the scan kernel walks the corpus. Two settings pick the access
 /// path: `clusters` (clustered vs flat) and `chunks` (chunked vs serial);
 /// `MultimediaDatabase::MakeProcessor` maps each scan method onto them.
@@ -57,7 +63,8 @@ struct ScanSettings {
   const BwmIndex* clusters = nullptr;
   /// Clustered mode only: answers a one-conjunct base test for every
   /// cluster with one range probe, and `binary_images_checked` counts
-  /// the probe's matches. Conjunctions test each base's histogram.
+  /// the probe's matches. Conjunctions test each base's histogram (see
+  /// `ProbesIndex`).
   const HistogramIndex* probe = nullptr;
   /// Bounds the loose edited images in contiguous chunks on this pool
   /// (the calling thread takes chunks too); null bounds them serially.

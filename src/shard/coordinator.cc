@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "core/scan.h"
 #include "core/similarity.h"
 #include "obs/metrics.h"
 
@@ -67,23 +68,6 @@ Status NamedShardError(size_t shard, const std::string& backend,
                        const Status& cause) {
   return Status(cause.code(), "shard " + std::to_string(shard) + " (" +
                                   backend + "): " + cause.message());
-}
-
-/// Methods whose binary side is a full histogram scan — on a shard,
-/// every ghost copy is scanned exactly like a real binary image, so the
-/// merged `binary_images_checked` overcounts by the ghost count.
-bool ScansAllBinaries(QueryMethod method) {
-  switch (method) {
-    case QueryMethod::kInstantiate:
-    case QueryMethod::kRbm:
-    case QueryMethod::kBwm:
-    case QueryMethod::kParallelRbm:
-      return true;
-    case QueryMethod::kBwmIndexed:
-    case QueryMethod::kPlanned:
-      return false;
-  }
-  return false;
 }
 
 }  // namespace
@@ -367,13 +351,16 @@ Result<ShardedResult> Coordinator::Merge(const QueryRequest& request,
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     const int64_t duplicates = static_cast<int64_t>(before - ids.size());
     // Ghost compensation: a full binary scan touched every ghost copy
-    // once; the R-tree path only touched the ghosts that matched (they
+    // once; an index probe touched only the ghosts that matched (they
     // are exactly the duplicates the dedup removed). kPlanned mixes
     // access paths per predicate, so its counters stay as summed.
-    if (ScansAllBinaries(request.method)) {
-      stats.binary_images_checked -= ghost_total;
-    } else if (request.method == QueryMethod::kBwmIndexed) {
+    const size_t conjuncts = request.conjunctive() != nullptr
+                                 ? request.conjunctive()->conjuncts.size()
+                                 : 1;
+    if (request.method == QueryMethod::kBwmIndexed && ProbesIndex(conjuncts)) {
       stats.binary_images_checked -= duplicates;
+    } else if (request.method != QueryMethod::kPlanned) {
+      stats.binary_images_checked -= ghost_total;
     }
     out.result.ids = std::move(ids);
     out.result.stats = stats;
