@@ -38,9 +38,13 @@ Result<std::unique_ptr<BlobStore>> BlobStore::Open(BufferPool* pool) {
 }
 
 Status BlobStore::InitializeHeader() {
-  // A brand-new file has no pages; create and stamp the header page.
+  // A brand-new file has no pages; create and stamp the header page. Any
+  // other read failure is reported, never "fixed" by appending a page.
   Result<PageGuard> fetched = pool_->FetchPage(0);
   if (!fetched.ok()) {
+    if (fetched.status().code() != StatusCode::kOutOfRange) {
+      return fetched.status();
+    }
     MMDB_ASSIGN_OR_RETURN(PageGuard header, pool_->NewPage());
     if (header.page_id() != 0) {
       return Status::Corruption("header page allocated at nonzero id");

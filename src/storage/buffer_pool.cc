@@ -43,10 +43,7 @@ const PoolCounters& Counters() {
 BufferPool::BufferPool(DiskManager* disk, size_t capacity)
     : disk_(disk), capacity_(capacity > 0 ? capacity : 1) {
   frames_.resize(capacity_);
-  free_frames_.reserve(capacity_);
-  for (size_t i = 0; i < capacity_; ++i) {
-    free_frames_.push_back(capacity_ - 1 - i);
-  }
+  DiscardAll();
 }
 
 BufferPool::~BufferPool() {
@@ -179,6 +176,7 @@ void BufferPool::OnGuardWrite(size_t frame_index) {
 }
 
 Status BufferPool::NotifyWriteback() {
+  MMDB_RETURN_IF_ERROR(capture_error_);
   if (!pre_writeback_hook_) return Status::OK();
   return pre_writeback_hook_();
 }
@@ -187,14 +185,18 @@ void BufferPool::BeginCaptureEpoch() {
   for (Frame& frame : frames_) frame.captured = false;
 }
 
-Status BufferPool::TakeCaptureError() {
-  Status out = capture_error_;
+void BufferPool::DiscardAll() {
+  free_frames_.clear();
+  for (size_t i = capacity_; i-- > 0;) {
+    assert(frames_[i].pin_count == 0);
+    frames_[i].in_use = false;
+    frames_[i].dirty = false;
+    free_frames_.push_back(i);
+  }
+  page_table_.clear();
+  lru_.clear();
+  lru_pos_.clear();
   capture_error_ = Status::OK();
-  return out;
-}
-
-void BufferPool::AbandonForTesting() {
-  for (Frame& frame : frames_) frame.dirty = false;
 }
 
 size_t BufferPool::PinnedCount() const {

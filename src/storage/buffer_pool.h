@@ -58,6 +58,9 @@ class BufferPool {
   /// Journal integration (see `Journal`). The capture hook receives each
   /// page's before-image on its first write of the current epoch; the
   /// pre-writeback hook runs before any dirty page reaches disk.
+  /// `PageGuard::Write` cannot fail, so a failed capture stays pending and
+  /// every writeback is refused with it until `DiscardAll`: a page whose
+  /// before-image the journal lacks must never reach the file.
   void SetWriteCaptureHook(WriteCaptureHook hook) {
     capture_hook_ = std::move(hook);
   }
@@ -69,13 +72,10 @@ class BufferPool {
   /// again. Called after each committed transaction.
   void BeginCaptureEpoch();
 
-  /// Returns (and clears) any error a capture-hook invocation produced;
-  /// `PageGuard::Write` cannot fail, so errors surface here at commit.
-  Status TakeCaptureError();
-
-  /// TESTING ONLY: drops all dirty bits so destruction writes nothing
-  /// back — simulates losing buffered state in a crash.
-  void AbandonForTesting();
+  /// Drops every frame without writeback, and any pending capture error:
+  /// the buffered state of an undone (or crashed) transaction. No page
+  /// may be pinned.
+  void DiscardAll();
 
   /// Cache statistics.
   struct Stats {

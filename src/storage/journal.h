@@ -26,12 +26,15 @@ namespace mmdb {
 ///
 /// If the process dies between (2) and (3), reopening the store finds a
 /// non-empty journal and rolls the main file back to the pre-transaction
-/// images (`RecoverInto`). Each record carries a checksum; a torn tail
+/// images (`DiskObjectStore::ReplayJournal`, which also undoes aborts and
+/// failed commits). Each record carries a checksum; a torn tail
 /// record is ignored. Recovery can orphan freshly appended pages (they
 /// roll back to zeroed free-floating pages) but never corrupts reachable
 /// state. The crash-point torture sweep (tests/torture_test.cc) proves
 /// the protocol by crashing after every k-th I/O operation of a scripted
-/// workload and asserting the all-or-nothing invariant on reopen.
+/// workload and asserting the all-or-nothing invariant on reopen; the
+/// single-fault sweep beside it fails each write, sync and truncate in
+/// turn and asserts that only confirmed batches survive.
 ///
 /// All raw I/O goes through an `Env` (POSIX by default); tests inject a
 /// `FaultInjectingEnv` to script write/sync failures and crash points.

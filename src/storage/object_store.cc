@@ -123,7 +123,6 @@ Status CheckFormatVersion(const DiskManager& disk) {
 Result<std::unique_ptr<DiskObjectStore>> DiskObjectStore::Open(
     const std::string& path, size_t pool_pages, bool journaled, Env* env) {
   std::unique_ptr<DiskObjectStore> store(new DiskObjectStore());
-  store->journaled_ = journaled;
   store->disk_ = std::make_unique<DiskManager>();
   MMDB_RETURN_IF_ERROR(store->disk_->Open(path, env));
   MMDB_RETURN_IF_ERROR(CheckFormatVersion(*store->disk_));
@@ -131,18 +130,7 @@ Result<std::unique_ptr<DiskObjectStore>> DiskObjectStore::Open(
   // Recover an interrupted transaction before anything reads the file.
   MMDB_ASSIGN_OR_RETURN(store->journal_,
                         Journal::Open(path + ".journal", env));
-  if (store->journal_->NeedsRecovery()) {
-    MMDB_ASSIGN_OR_RETURN(auto records, store->journal_->ReadRecords());
-    MMDB_ASSIGN_OR_RETURN(PageId page_count, store->disk_->PageCount());
-    // Undo in reverse order; before-images of pages the crash never got
-    // to write (beyond EOF) need no undo.
-    for (auto it = records.rbegin(); it != records.rend(); ++it) {
-      if (it->first >= page_count) continue;
-      MMDB_RETURN_IF_ERROR(store->disk_->WritePage(it->first, it->second));
-    }
-    MMDB_RETURN_IF_ERROR(store->disk_->Sync());
-    MMDB_RETURN_IF_ERROR(store->journal_->Reset());
-  }
+  MMDB_RETURN_IF_ERROR(store->ReplayJournal());
 
   // The blob store pins up to three pages at once; keep a sane floor.
   store->pool_ = std::make_unique<BufferPool>(
@@ -162,46 +150,57 @@ Result<std::unique_ptr<DiskObjectStore>> DiskObjectStore::Open(
   return store;
 }
 
+Status DiskObjectStore::ReplayJournal() {
+  if (!journal_->NeedsRecovery()) return Status::OK();
+  MMDB_ASSIGN_OR_RETURN(auto records, journal_->ReadRecords());
+  MMDB_ASSIGN_OR_RETURN(PageId page_count, disk_->PageCount());
+  // Undo in reverse order, so a page captured twice ends at its earliest
+  // image; before-images of pages past EOF were never written and need
+  // no undo.
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    if (it->first >= page_count) continue;
+    MMDB_RETURN_IF_ERROR(disk_->WritePage(it->first, it->second));
+  }
+  MMDB_RETURN_IF_ERROR(disk_->Sync());
+  return journal_->Reset();
+}
+
+Status DiskObjectStore::CheckNotCrashed() const {
+  if (!crashed_) return Status::OK();
+  return Status::Internal(
+      "store refuses mutations: a commit or undo failed part-way (or a "
+      "crash was simulated); reopen it to recover from the journal");
+}
+
 Status DiskObjectStore::CommitTransaction() {
   obs::Span span(CommitSpan());
-  if (crashed_) return Status::Internal("store crashed (testing)");
-  MMDB_RETURN_IF_ERROR(pool_->TakeCaptureError());
-  MMDB_RETURN_IF_ERROR(pool_->FlushAll());
-  MMDB_RETURN_IF_ERROR(disk_->Sync());
+  MMDB_RETURN_IF_ERROR(CheckNotCrashed());
+  Status flushed = pool_->FlushAll();
+  if (flushed.ok()) flushed = disk_->Sync();
+  if (!flushed.ok()) {
+    RollbackTransaction().ok();  // Report the failure that ended it.
+    return flushed;
+  }
+  // The commit point: once the journal is empty the transaction is
+  // durable. Until the reset succeeds, nothing in this process can tell
+  // whether the journal still undoes it; a reopen's recovery can.
+  crashed_ = true;
   MMDB_RETURN_IF_ERROR(journal_->Reset());
+  crashed_ = false;
   pool_->BeginCaptureEpoch();
   Commits()->Increment();
   return Status::OK();
 }
 
 Status DiskObjectStore::RollbackTransaction() {
-  // Restore every captured before-image through the pool, then commit
-  // the restoration and rebuild the in-memory blob directory.
-  MMDB_RETURN_IF_ERROR(pool_->TakeCaptureError());
-  pool_->SetWriteCaptureHook(nullptr);  // Don't journal the undo itself.
-  MMDB_ASSIGN_OR_RETURN(auto records, journal_->ReadRecords());
-  Status undo = Status::OK();
-  for (auto it = records.rbegin(); it != records.rend() && undo.ok(); ++it) {
-    Result<PageGuard> guard = pool_->FetchPage(it->first);
-    if (!guard.ok()) {
-      undo = guard.status();
-      break;
-    }
-    guard->Write() = it->second;
-  }
-  if (undo.ok()) undo = pool_->FlushAll();
-  if (undo.ok()) undo = disk_->Sync();
-  if (undo.ok()) undo = journal_->Reset();
-  pool_->BeginCaptureEpoch();
-  if (journaled_) {
-    Journal* journal = journal_.get();
-    pool_->SetWriteCaptureHook([journal](PageId id, const Page& before) {
-      return journal->Append(id, before);
-    });
-  }
-  MMDB_RETURN_IF_ERROR(undo);
-  // The rolled-back pages invalidate the cached directory; reload it.
+  MMDB_RETURN_IF_ERROR(CheckNotCrashed());
+  pool_->DiscardAll();
+  // Until the replay and reload finish, the file and the blob directory
+  // match neither the last commit nor the transaction.
+  crashed_ = true;
+  MMDB_RETURN_IF_ERROR(ReplayJournal());
   MMDB_ASSIGN_OR_RETURN(blobs_, BlobStore::Open(pool_.get()));
+  crashed_ = false;
   return Status::OK();
 }
 
@@ -211,13 +210,12 @@ Status DiskObjectStore::MaybeCommit() {
 }
 
 Status DiskObjectStore::Mutate(const std::function<Status()>& mutation) {
-  if (crashed_) return Status::Internal("store crashed (testing)");
+  MMDB_RETURN_IF_ERROR(CheckNotCrashed());
   const Status applied = mutation();
   if (!applied.ok()) {
-    if (batch_depth_ == 0 && journaled_ && journal_->record_count() > 0) {
-      // A failed standalone mutation may have touched pages; undo them.
-      MMDB_RETURN_IF_ERROR(RollbackTransaction());
-    }
+    // A failed standalone mutation may have touched pages; undo them (a
+    // batch's caller aborts the whole batch instead).
+    if (batch_depth_ == 0) RollbackTransaction().ok();
     return applied;
   }
   return MaybeCommit();
@@ -273,10 +271,7 @@ Status DiskObjectStore::AbortBatch() {
   return RollbackTransaction();
 }
 
-Status DiskObjectStore::Flush() {
-  MMDB_RETURN_IF_ERROR(CommitTransaction());
-  return Status::OK();
-}
+Status DiskObjectStore::Flush() { return CommitTransaction(); }
 
 Result<DiskObjectStore::ScrubReport> DiskObjectStore::Scrub() const {
   ScrubReport report;
@@ -319,7 +314,7 @@ Result<DiskObjectStore::ScrubReport> DiskObjectStore::Scrub() const {
 }
 
 void DiskObjectStore::SimulateCrashForTesting() {
-  pool_->AbandonForTesting();
+  pool_->DiscardAll();
   crashed_ = true;
 }
 

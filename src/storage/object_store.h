@@ -73,7 +73,8 @@ class MemoryObjectStore final : public ObjectStore {
 /// Page-file-backed object store (DiskManager + BufferPool + BlobStore)
 /// with an undo journal: every mutation (or explicit batch of mutations)
 /// commits atomically — after a crash at any point, reopening the store
-/// observes either all of the batch or none of it.
+/// observes either all of the batch or none of it. A failed mutation,
+/// abort or commit is undone at once by the same journal replay.
 class DiskObjectStore final : public ObjectStore {
  public:
   /// Outcome of an integrity scan (`Scrub`).
@@ -122,8 +123,8 @@ class DiskObjectStore final : public ObjectStore {
   const BufferPool::Stats& PoolStats() const { return pool_->stats(); }
 
   /// TESTING ONLY: abandons all buffered (uncommitted) state, leaving
-  /// the on-disk file and journal exactly as a crash would. The store is
-  /// unusable afterwards; reopen to observe recovery.
+  /// the on-disk file and journal exactly as a crash would. The store
+  /// refuses mutations afterwards; reopen to observe recovery.
   void SimulateCrashForTesting();
 
  private:
@@ -132,10 +133,20 @@ class DiskObjectStore final : public ObjectStore {
   /// Commits the active transaction (flush + data sync + journal reset)
   /// unless inside an explicit batch.
   Status MaybeCommit();
+  /// Flushes and syncs the transaction's pages, then empties the journal
+  /// (the commit point). A failure before the commit point rolls the
+  /// transaction back; a failure at it leaves the store crashed.
   Status CommitTransaction();
-  /// Rolls back every captured page to its before-image and reloads the
-  /// blob directory.
+  /// Undoes the active transaction: drops every buffered page, replays
+  /// the journal, and reloads the blob directory. A failed undo leaves
+  /// the store crashed.
   Status RollbackTransaction();
+  /// Writes the journal's before-images back into the page file, newest
+  /// first, syncs it and empties the journal — the one undo behind crash
+  /// recovery (`Open`) and `RollbackTransaction`.
+  Status ReplayJournal();
+  /// Refuses every mutation once the store is crashed.
+  Status CheckNotCrashed() const;
   /// Runs `mutation`, committing on success and rolling back on failure.
   Status Mutate(const std::function<Status()>& mutation);
 
@@ -147,8 +158,10 @@ class DiskObjectStore final : public ObjectStore {
   std::unique_ptr<Journal> journal_;
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<BlobStore> blobs_;
-  bool journaled_ = false;
   int batch_depth_ = 0;
+  /// Set when the store cannot know or restore its committed state (a
+  /// failed journal reset or undo, or a simulated crash); only a reopen,
+  /// whose recovery replays the journal, clears it.
   bool crashed_ = false;
 };
 
