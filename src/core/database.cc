@@ -75,10 +75,24 @@ Result<QueryResult> RunScan(const MultimediaDatabase& db,
   return result;
 }
 
-/// Refuses while some stored edited image other than `id` merges into
-/// `id`.
-Status CheckNotMergeTarget(const AugmentedCollection& collection,
-                           ObjectId id) {
+/// Reads the blob under `key` and decodes it.
+template <typename T>
+Result<T> GetDecoded(const ObjectStore& store, uint64_t key,
+                     Result<T> (*decode)(const std::string&)) {
+  MMDB_ASSIGN_OR_RETURN(std::string blob, store.Get(key));
+  return decode(blob);
+}
+
+/// Refuses while some stored edited image other than `id` derives from
+/// `id` (as its base) or merges into `id`.
+Status CheckUnreferenced(const AugmentedCollection& collection,
+                         ObjectId id) {
+  if (const std::vector<ObjectId>& derived = collection.EditedOf(id);
+      !derived.empty()) {
+    return Status::InvalidArgument(
+        "binary image " + std::to_string(id) + " is still the base of " +
+        std::to_string(derived.size()) + " edited image(s)");
+  }
   for (ObjectId other_id : collection.edited_ids()) {
     if (other_id == id) continue;
     for (const EditOp& op : collection.FindEdited(other_id)->script.ops) {
@@ -217,66 +231,25 @@ Status MultimediaDatabase::LoadExisting() {
       continue;
     }
     const ObjectId row_id = static_cast<ObjectId>((key - 2) / 4);
-    Result<std::string> row_blob = store_->Get(key);
-    if (!row_blob.ok()) {
-      if (row_blob.status().code() != StatusCode::kCorruption) {
-        return row_blob.status();
-      }
+    Result<CatalogRow> row = GetDecoded(*store_, key, &DecodeCatalogRow);
+    if (!row.ok()) {
+      if (row.status().code() != StatusCode::kCorruption) return row.status();
       QuarantineImage(row_id);
       continue;
     }
-    Result<CatalogRow> decoded = DecodeCatalogRow(*row_blob);
-    if (!decoded.ok()) {
-      if (decoded.status().code() != StatusCode::kCorruption) {
-        return decoded.status();
-      }
-      QuarantineImage(row_id);
-      continue;
-    }
-    const CatalogRow& row = *decoded;
-    if (row.kind == ImageKind::kBinary) {
-      BinaryImageInfo info;
-      info.id = row.id;
-      info.width = row.width;
-      info.height = row.height;
-      info.histogram = ColorHistogram(quantizer_.BinCount());
-      if (static_cast<int32_t>(row.histogram_counts.size()) !=
-          quantizer_.BinCount()) {
-        return Status::Corruption("catalog row " + std::to_string(row.id) +
-                                  ": histogram arity mismatch");
-      }
-      for (size_t bin = 0; bin < row.histogram_counts.size(); ++bin) {
-        info.histogram.Add(static_cast<BinIndex>(bin),
-                           row.histogram_counts[bin]);
-      }
-      MMDB_RETURN_IF_ERROR(
-          histogram_index_.Insert(row.id, info.histogram));
-      MMDB_RETURN_IF_ERROR(collection_.AddBinary(std::move(info)));
-      bwm_index_.InsertBinary(row.id);
-    } else {
-      Result<std::string> script_blob =
-          store_->Get(catalog_keys::ScriptKey(row.id));
-      if (!script_blob.ok()) {
-        if (script_blob.status().code() != StatusCode::kCorruption) {
-          return script_blob.status();
-        }
-        QuarantineImage(row.id);
-        continue;
-      }
-      Result<EditScript> script = DecodeEditScript(*script_blob);
+    Result<EditScript> script = EditScript{};
+    if (row->kind == ImageKind::kEdited) {
+      script = GetDecoded(*store_, catalog_keys::ScriptKey(row->id),
+                          &DecodeEditScript);
       if (!script.ok()) {
         if (script.status().code() != StatusCode::kCorruption) {
           return script.status();
         }
-        QuarantineImage(row.id);
+        QuarantineImage(row->id);
         continue;
       }
-      EditedImageInfo info;
-      info.id = row.id;
-      info.script = *std::move(script);
-      bwm_index_.InsertEdited(info);
-      MMDB_RETURN_IF_ERROR(collection_.AddEdited(std::move(info)));
     }
+    MMDB_RETURN_IF_ERROR(AddToMemory(*row, std::move(*script)));
   }
   return Status::OK();
 }
@@ -295,47 +268,70 @@ Status MultimediaDatabase::WithBatch(const std::function<Status()>& body) {
   return store_->CommitBatch();
 }
 
-Result<ObjectId> MultimediaDatabase::NextId() {
-  const ObjectId id = meta_.next_id++;
-  MMDB_RETURN_IF_ERROR(PersistMeta());
-  return id;
+Result<ObjectId> MultimediaDatabase::InsertRow(CatalogRow row,
+                                               const std::string& payload,
+                                               EditScript script) {
+  row.id = meta_.next_id;
+  CatalogMeta next = meta_;
+  ++next.next_id;
+  const uint64_t payload_key = row.kind == ImageKind::kBinary
+                                   ? catalog_keys::RasterKey(row.id)
+                                   : catalog_keys::ScriptKey(row.id);
+  // The id bump, payload and catalog row commit as one atomic batch;
+  // nothing in memory changes until it has.
+  MMDB_RETURN_IF_ERROR(WithBatch([&]() -> Status {
+    MMDB_RETURN_IF_ERROR(
+        store_->Upsert(catalog_keys::kMetaKey, EncodeCatalogMeta(next)));
+    MMDB_RETURN_IF_ERROR(store_->Put(payload_key, payload));
+    return store_->Put(catalog_keys::RowKey(row.id), EncodeCatalogRow(row));
+  }));
+  meta_ = next;
+  MMDB_RETURN_IF_ERROR(AddToMemory(row, std::move(script)));
+  return row.id;
+}
+
+Status MultimediaDatabase::AddToMemory(const CatalogRow& row,
+                                       EditScript script) {
+  if (row.kind == ImageKind::kBinary) {
+    if (static_cast<int32_t>(row.histogram_counts.size()) !=
+        quantizer_.BinCount()) {
+      return Status::Corruption("catalog row " + std::to_string(row.id) +
+                                ": histogram arity mismatch");
+    }
+    BinaryImageInfo info;
+    info.id = row.id;
+    info.width = row.width;
+    info.height = row.height;
+    info.histogram = ColorHistogram(quantizer_.BinCount());
+    for (size_t bin = 0; bin < row.histogram_counts.size(); ++bin) {
+      info.histogram.Add(static_cast<BinIndex>(bin),
+                         row.histogram_counts[bin]);
+    }
+    MMDB_RETURN_IF_ERROR(histogram_index_.Insert(row.id, info.histogram));
+    MMDB_RETURN_IF_ERROR(collection_.AddBinary(std::move(info)));
+    bwm_index_.InsertBinary(row.id);
+  } else {
+    EditedImageInfo info;
+    info.id = row.id;
+    info.script = std::move(script);
+    bwm_index_.InsertEdited(info);  // Figure 1 insertion algorithm.
+    MMDB_RETURN_IF_ERROR(collection_.AddEdited(std::move(info)));
+  }
+  mutation_epoch_.fetch_add(1, std::memory_order_release);
+  return Status::OK();
 }
 
 Result<ObjectId> MultimediaDatabase::InsertBinaryImage(const Image& image) {
   if (image.Empty()) {
     return Status::InvalidArgument("cannot store an empty image");
   }
-  ObjectId id = kInvalidObjectId;
-  // The id bump, raster, and catalog row commit as one atomic batch; the
-  // in-memory structures are only touched after the stores succeed.
-  MMDB_RETURN_IF_ERROR(WithBatch([&]() -> Status {
-    MMDB_ASSIGN_OR_RETURN(id, NextId());
-
-    // Feature extraction happens here, once, at insertion time.
-    BinaryImageInfo info;
-    info.id = id;
-    info.width = image.width();
-    info.height = image.height();
-    info.histogram = ExtractHistogram(image, quantizer_);
-
-    CatalogRow row;
-    row.id = id;
-    row.kind = ImageKind::kBinary;
-    row.width = info.width;
-    row.height = info.height;
-    row.histogram_counts = info.histogram.counts();
-
-    MMDB_RETURN_IF_ERROR(store_->Put(catalog_keys::RasterKey(id),
-                                     EncodePpm(image, PpmFormat::kBinary)));
-    MMDB_RETURN_IF_ERROR(
-        store_->Put(catalog_keys::RowKey(id), EncodeCatalogRow(row)));
-    MMDB_RETURN_IF_ERROR(histogram_index_.Insert(id, info.histogram));
-    MMDB_RETURN_IF_ERROR(collection_.AddBinary(std::move(info)));
-    bwm_index_.InsertBinary(id);
-    return Status::OK();
-  }));
-  mutation_epoch_.fetch_add(1, std::memory_order_release);
-  return id;
+  CatalogRow row;
+  row.kind = ImageKind::kBinary;
+  row.width = image.width();
+  row.height = image.height();
+  // Feature extraction happens here, once, at insertion time.
+  row.histogram_counts = ExtractHistogram(image, quantizer_).counts();
+  return InsertRow(std::move(row), EncodePpm(image, PpmFormat::kBinary), {});
 }
 
 Status MultimediaDatabase::ValidateScript(const EditScript& script) const {
@@ -359,27 +355,9 @@ Status MultimediaDatabase::ValidateScript(const EditScript& script) const {
 Result<ObjectId> MultimediaDatabase::InsertEditedImage(
     const EditScript& script) {
   MMDB_RETURN_IF_ERROR(ValidateScript(script));
-  ObjectId id = kInvalidObjectId;
-  MMDB_RETURN_IF_ERROR(WithBatch([&]() -> Status {
-    MMDB_ASSIGN_OR_RETURN(id, NextId());
-
-    CatalogRow row;
-    row.id = id;
-    row.kind = ImageKind::kEdited;
-
-    MMDB_RETURN_IF_ERROR(
-        store_->Put(catalog_keys::ScriptKey(id), EncodeEditScript(script)));
-    MMDB_RETURN_IF_ERROR(
-        store_->Put(catalog_keys::RowKey(id), EncodeCatalogRow(row)));
-
-    EditedImageInfo info;
-    info.id = id;
-    info.script = script;
-    bwm_index_.InsertEdited(info);  // Figure 1 insertion algorithm.
-    return collection_.AddEdited(std::move(info));
-  }));
-  mutation_epoch_.fetch_add(1, std::memory_order_release);
-  return id;
+  CatalogRow row;
+  row.kind = ImageKind::kEdited;
+  return InsertRow(std::move(row), EncodeEditScript(script), script);
 }
 
 ImageResolver MultimediaDatabase::MakePixelResolver() const {
@@ -475,40 +453,31 @@ Result<QueryResult> MultimediaDatabase::RunSimilarity(
 }
 
 Status MultimediaDatabase::DeleteImage(ObjectId id) {
-  if (const EditedImageInfo* edited = collection_.FindEdited(id)) {
-    MMDB_RETURN_IF_ERROR(CheckNotMergeTarget(collection_, id));
-    const ObjectId base_id = edited->script.base_id;
-    // Store mutations first (atomically), in-memory state after.
-    MMDB_RETURN_IF_ERROR(WithBatch([&]() -> Status {
-      MMDB_RETURN_IF_ERROR(store_->Delete(catalog_keys::ScriptKey(id)));
-      return store_->Delete(catalog_keys::RowKey(id));
-    }));
+  const EditedImageInfo* edited = collection_.FindEdited(id);
+  const BinaryImageInfo* binary = collection_.FindBinary(id);
+  if (edited == nullptr && binary == nullptr) {
+    return Status::NotFound("image object " + std::to_string(id));
+  }
+  MMDB_RETURN_IF_ERROR(CheckUnreferenced(collection_, id));
+  const uint64_t payload_key = edited != nullptr
+                                   ? catalog_keys::ScriptKey(id)
+                                   : catalog_keys::RasterKey(id);
+  MMDB_RETURN_IF_ERROR(WithBatch([&]() -> Status {
+    MMDB_RETURN_IF_ERROR(store_->Delete(payload_key));
+    return store_->Delete(catalog_keys::RowKey(id));
+  }));
+  // The batch committed; only now does memory change.
+  if (edited != nullptr) {
+    bwm_index_.RemoveEdited(id, edited->script.base_id);
     MMDB_RETURN_IF_ERROR(collection_.RemoveEdited(id));
-    bwm_index_.RemoveEdited(id, base_id);
-    mutation_epoch_.fetch_add(1, std::memory_order_release);
-    return Status::OK();
-  }
-  if (collection_.FindBinary(id) != nullptr) {
-    // Refuse while referenced as a base (checked by the collection) or
-    // as a merge target of any stored edited image.
-    MMDB_RETURN_IF_ERROR(CheckNotMergeTarget(collection_, id));
-    const BinaryImageInfo* info = collection_.FindBinary(id);
-    const HyperRect index_key =
-        HyperRect::Point(info->histogram.Normalized());
-    // RemoveBinary validates the no-dependents precondition; only then
-    // may the derived structures change.
-    MMDB_RETURN_IF_ERROR(collection_.RemoveBinary(id));
-    MMDB_RETURN_IF_ERROR(histogram_index_.Remove(index_key, id));
+  } else {
+    MMDB_RETURN_IF_ERROR(histogram_index_.Remove(
+        HyperRect::Point(binary->histogram.Normalized()), id));
     bwm_index_.RemoveBinary(id);
-    // The in-memory structures are already mutated, so invalidate the
-    // planner cache even if the store deletes below fail.
-    mutation_epoch_.fetch_add(1, std::memory_order_release);
-    return WithBatch([&]() -> Status {
-      MMDB_RETURN_IF_ERROR(store_->Delete(catalog_keys::RasterKey(id)));
-      return store_->Delete(catalog_keys::RowKey(id));
-    });
+    MMDB_RETURN_IF_ERROR(collection_.RemoveBinary(id));
   }
-  return Status::NotFound("image object " + std::to_string(id));
+  mutation_epoch_.fetch_add(1, std::memory_order_release);
+  return Status::OK();
 }
 
 std::shared_ptr<const CorpusStats> MultimediaDatabase::PlannerStats() const {

@@ -278,7 +278,15 @@ class MultimediaDatabase {
   Result<Image> ResolvePixels(ObjectId id, std::set<ObjectId>* in_flight) const;
   /// Runs `body` inside an object-store batch, aborting it on failure.
   Status WithBatch(const std::function<Status()>& body);
-  Result<ObjectId> NextId();
+  /// Stores a new image under the next id as one batch (the advanced id
+  /// counter, `payload` and `row`), then advances `meta_.next_id` and
+  /// adds the image to memory — only once the batch has committed.
+  Result<ObjectId> InsertRow(CatalogRow row, const std::string& payload,
+                             EditScript script);
+  /// The one in-memory apply of a stored image, for inserts and reload:
+  /// the collection, the BWM index, the histogram index and the planner
+  /// epoch. `script` is an edited image's operations.
+  Status AddToMemory(const CatalogRow& row, EditScript script);
   Status ValidateScript(const EditScript& script) const;
 
   DatabaseOptions options_;
