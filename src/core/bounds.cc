@@ -17,13 +17,40 @@ Result<RuleState> ComputeRuleState(const RuleEngine& engine,
   return state;
 }
 
-FractionBounds ToFractionBounds(const RuleState& state) {
+Result<AllBinRuleState> ComputeAllBinRuleState(
+    const RuleEngine& engine, const EditScript& script,
+    const std::vector<int64_t>& base_counts, int32_t base_width,
+    int32_t base_height, const AllBinTargetResolver& resolver,
+    CancelCheck* check) {
+  AllBinRuleState state =
+      RuleEngine::InitialAllBinState(base_counts, base_width, base_height);
+  for (const EditOp& op : script.ops) {
+    if (check != nullptr) MMDB_RETURN_IF_ERROR(check->Check());
+    MMDB_RETURN_IF_ERROR(engine.ApplyRuleToAllBins(op, resolver, &state));
+  }
+  return state;
+}
+
+namespace {
+
+FractionBounds Fractions(int64_t hb_min, int64_t hb_max, int64_t size) {
   FractionBounds bounds;
-  if (state.size > 0) {
-    bounds.min_fraction = static_cast<double>(state.hb_min) / state.size;
-    bounds.max_fraction = static_cast<double>(state.hb_max) / state.size;
+  if (size > 0) {
+    bounds.min_fraction = static_cast<double>(hb_min) / size;
+    bounds.max_fraction = static_cast<double>(hb_max) / size;
   }
   return bounds;
+}
+
+}  // namespace
+
+FractionBounds ToFractionBounds(const RuleState& state) {
+  return Fractions(state.hb_min, state.hb_max, state.size);
+}
+
+FractionBounds ToFractionBounds(const AllBinRuleState& state, BinIndex bin) {
+  const size_t i = static_cast<size_t>(bin);
+  return Fractions(state.hb_min[i], state.hb_max[i], state.size);
 }
 
 Result<FractionBounds> ComputeBounds(const RuleEngine& engine,

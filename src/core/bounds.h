@@ -1,6 +1,8 @@
 #ifndef MMDB_CORE_BOUNDS_H_
 #define MMDB_CORE_BOUNDS_H_
 
+#include <vector>
+
 #include "core/cancel.h"
 #include "core/rules.h"
 #include "editops/edit_ops.h"
@@ -51,9 +53,27 @@ Result<RuleState> ComputeRuleState(const RuleEngine& engine,
                                    const TargetBoundsResolver& resolver,
                                    CancelCheck* check = nullptr);
 
+/// The all-bin fold: the final rule state of every histogram bin from
+/// one walk over `script` (`RuleEngine::ApplyRuleToAllBins` per
+/// operation). Bin b of the result equals `ComputeRuleState` for bin b,
+/// and the two folds fail with the same status. `base_counts` holds the
+/// referenced base image's exact count per bin.
+///
+/// `resolver` is consulted once per Merge with a non-null target. A
+/// non-null `check` is consulted before every operation.
+Result<AllBinRuleState> ComputeAllBinRuleState(
+    const RuleEngine& engine, const EditScript& script,
+    const std::vector<int64_t>& base_counts, int32_t base_width,
+    int32_t base_height, const AllBinTargetResolver& resolver,
+    CancelCheck* check = nullptr);
+
 /// Converts a final rule state to fraction bounds ([0, 0] for an empty
 /// image).
 FractionBounds ToFractionBounds(const RuleState& state);
+
+/// Fraction bounds of bin `bin` of an all-bin state; the same arithmetic
+/// as the one-bin overload.
+FractionBounds ToFractionBounds(const AllBinRuleState& state, BinIndex bin);
 
 }  // namespace mmdb
 

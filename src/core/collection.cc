@@ -104,16 +104,20 @@ TargetBoundsResolver AugmentedCollection::MakeTargetResolver(
   };
 }
 
-Result<TargetBounds> AugmentedCollection::ResolveTargetBounds(
-    const RuleEngine& engine, ObjectId id, BinIndex hb,
-    std::set<ObjectId>* in_flight) const {
+AllBinTargetResolver AugmentedCollection::MakeAllBinTargetResolver(
+    const RuleEngine& engine) const {
+  auto in_flight = std::make_shared<std::set<ObjectId>>();
+  return [this, &engine, in_flight](ObjectId id) {
+    return ResolveAllBinTarget(engine, id, in_flight.get());
+  };
+}
+
+template <typename Bounds, typename FromBinary, typename FromEdited>
+Result<Bounds> AugmentedCollection::ResolveTarget(
+    ObjectId id, std::set<ObjectId>* in_flight, const FromBinary& from_binary,
+    const FromEdited& from_edited) const {
   if (const BinaryImageInfo* binary = FindBinary(id)) {
-    TargetBounds out;
-    out.hb_min = out.hb_max = binary->histogram.Count(hb);
-    out.size = binary->histogram.Total();
-    out.width = binary->width;
-    out.height = binary->height;
-    return out;
+    return from_binary(*binary);
   }
   const EditedImageInfo* edited = FindEdited(id);
   if (edited == nullptr) {
@@ -129,20 +133,64 @@ Result<TargetBounds> AugmentedCollection::ResolveTargetBounds(
     return Status::NotFound("base image of merge target " +
                             std::to_string(id));
   }
-  Result<RuleState> state = ComputeRuleState(
-      engine, edited->script, hb, base->histogram.Count(hb), base->width,
-      base->height, [&](ObjectId target, BinIndex bin) {
-        return ResolveTargetBounds(engine, target, bin, in_flight);
-      });
+  Result<Bounds> out = from_edited(*edited, *base);
   in_flight->erase(id);
-  if (!state.ok()) return state.status();
-  TargetBounds out;
-  out.hb_min = state->hb_min;
-  out.hb_max = state->hb_max;
-  out.size = state->size;
-  out.width = state->width;
-  out.height = state->height;
   return out;
+}
+
+Result<TargetBounds> AugmentedCollection::ResolveTargetBounds(
+    const RuleEngine& engine, ObjectId id, BinIndex hb,
+    std::set<ObjectId>* in_flight) const {
+  return ResolveTarget<TargetBounds>(
+      id, in_flight,
+      [hb](const BinaryImageInfo& binary) -> Result<TargetBounds> {
+        TargetBounds out;
+        out.hb_min = out.hb_max = binary.histogram.Count(hb);
+        out.size = binary.histogram.Total();
+        out.width = binary.width;
+        out.height = binary.height;
+        return out;
+      },
+      [&](const EditedImageInfo& edited,
+          const BinaryImageInfo& base) -> Result<TargetBounds> {
+        MMDB_ASSIGN_OR_RETURN(
+            RuleState state,
+            ComputeRuleState(engine, edited.script, hb,
+                             base.histogram.Count(hb), base.width,
+                             base.height, [&](ObjectId target, BinIndex bin) {
+                               return ResolveTargetBounds(engine, target, bin,
+                                                          in_flight);
+                             }));
+        TargetBounds out;
+        out.hb_min = state.hb_min;
+        out.hb_max = state.hb_max;
+        out.size = state.size;
+        out.width = state.width;
+        out.height = state.height;
+        return out;
+      });
+}
+
+Result<AllBinRuleState> AugmentedCollection::ResolveAllBinTarget(
+    const RuleEngine& engine, ObjectId id,
+    std::set<ObjectId>* in_flight) const {
+  return ResolveTarget<AllBinRuleState>(
+      id, in_flight,
+      [](const BinaryImageInfo& binary) -> Result<AllBinRuleState> {
+        AllBinRuleState out;
+        out.hb_min = out.hb_max = binary.histogram.counts();
+        out.size = binary.histogram.Total();
+        out.width = binary.width;
+        out.height = binary.height;
+        return out;
+      },
+      [&](const EditedImageInfo& edited, const BinaryImageInfo& base) {
+        return ComputeAllBinRuleState(
+            engine, edited.script, base.histogram.counts(), base.width,
+            base.height, [&](ObjectId target) {
+              return ResolveAllBinTarget(engine, target, in_flight);
+            });
+      });
 }
 
 }  // namespace mmdb

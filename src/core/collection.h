@@ -1,8 +1,8 @@
 #ifndef MMDB_CORE_COLLECTION_H_
 #define MMDB_CORE_COLLECTION_H_
 
-#include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "core/histogram.h"
@@ -74,16 +74,37 @@ class AugmentedCollection {
   /// through the rules (with cycle protection).
   TargetBoundsResolver MakeTargetResolver(const RuleEngine& engine) const;
 
+  /// The all-bin counterpart of `MakeTargetResolver`, for
+  /// `ComputeAllBinRuleState`: a binary target yields its stored
+  /// histogram; an edited target runs one all-bin fold. Its cycle guard
+  /// and error statuses are those of `MakeTargetResolver`.
+  AllBinTargetResolver MakeAllBinTargetResolver(
+      const RuleEngine& engine) const;
+
  private:
-  /// Recursive target resolution behind `MakeTargetResolver`; `in_flight`
-  /// guards against merge-target cycles.
+  /// The resolution both resolvers share: a binary target goes to
+  /// `from_binary(info)`, an edited one to `from_edited(info, base)`
+  /// while `in_flight` guards against merge-target cycles.
+  template <typename Bounds, typename FromBinary, typename FromEdited>
+  Result<Bounds> ResolveTarget(ObjectId id, std::set<ObjectId>* in_flight,
+                               const FromBinary& from_binary,
+                               const FromEdited& from_edited) const;
+
+  /// Recursive target resolution behind `MakeTargetResolver`.
   Result<TargetBounds> ResolveTargetBounds(const RuleEngine& engine,
                                            ObjectId id, BinIndex hb,
                                            std::set<ObjectId>* in_flight) const;
 
-  std::map<ObjectId, BinaryImageInfo> binaries_;
-  std::map<ObjectId, EditedImageInfo> editeds_;
-  std::map<ObjectId, std::vector<ObjectId>> base_to_edited_;
+  /// Recursive target resolution behind `MakeAllBinTargetResolver`.
+  Result<AllBinRuleState> ResolveAllBinTarget(
+      const RuleEngine& engine, ObjectId id,
+      std::set<ObjectId>* in_flight) const;
+
+  // Hashed by id: nothing needs key order (the *_order_ vectors give
+  // insertion order), and elements stay put across a rehash.
+  std::unordered_map<ObjectId, BinaryImageInfo> binaries_;
+  std::unordered_map<ObjectId, EditedImageInfo> editeds_;
+  std::unordered_map<ObjectId, std::vector<ObjectId>> base_to_edited_;
   std::vector<ObjectId> binary_order_;
   std::vector<ObjectId> edited_order_;
 };

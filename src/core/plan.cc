@@ -332,8 +332,8 @@ Result<std::string> ExplainQuery(const MultimediaDatabase& db,
     out += "  " + std::to_string(stats.binary_count()) +
            " binary images: exact L1 histogram distances\n";
     out += "  " + std::to_string(stats.edited_count()) +
-           " edited images: provable [lo, hi] distance intervals (" +
-           std::to_string(bins) + " rule folds each, avg " +
+           " edited images: provable [lo, hi] distance intervals (one " +
+           std::to_string(bins) + "-bin rule fold each, avg " +
            Fixed(stats.avg_ops()) + " ops)\n";
     out += "  cutoff: k-th smallest guaranteed distance (k=" +
            std::to_string(similarity->k) + "); no false negatives\n";

@@ -2,6 +2,7 @@
 #define MMDB_CORE_RULES_H_
 
 #include <functional>
+#include <vector>
 
 #include "core/quantizer.h"
 #include "editops/edit_ops.h"
@@ -41,23 +42,56 @@ struct TargetBounds {
 using TargetBoundsResolver =
     std::function<Result<TargetBounds>(ObjectId, BinIndex)>;
 
-/// The paper's rule state: minimum and maximum number of pixels that may
-/// be in bin HB (`hb_min`, `hb_max`), plus the total pixel count. We also
-/// track the exact canvas dimensions and the current Defined Region —
-/// both are derivable from the script without touching pixels, and they
-/// make |DR| and resize arithmetic exact.
-struct RuleState {
-  int64_t hb_min = 0;
-  int64_t hb_max = 0;
+/// The bin-independent part of a rule state: the exact canvas and the
+/// current Defined Region. Both are derivable from the script without
+/// touching pixels, and they make |DR| and resize arithmetic exact.
+struct RuleGeometry {
   int64_t size = 0;
   int32_t width = 0;
   int32_t height = 0;
   Rect defined_region;
 
+  /// A `width` x `height` canvas whose DR is the whole canvas.
+  static RuleGeometry Full(int32_t width, int32_t height) {
+    RuleGeometry geometry;
+    geometry.size = static_cast<int64_t>(width) * height;
+    geometry.width = width;
+    geometry.height = height;
+    geometry.defined_region = Rect::Full(width, height);
+    return geometry;
+  }
+
   Rect CanvasBounds() const { return Rect::Full(width, height); }
   /// Pixels in the current DR (the paper's |DR|).
   int64_t DrSize() const { return defined_region.Area(); }
 };
+
+/// The paper's rule state: minimum and maximum number of pixels that may
+/// be in bin HB (`hb_min`, `hb_max`), plus the geometry (total pixel
+/// count, canvas dimensions, Defined Region).
+struct RuleState : RuleGeometry {
+  int64_t hb_min = 0;
+  int64_t hb_max = 0;
+};
+
+/// The rule state of every bin at once: one geometry, and the bounds on
+/// bin b in `hb_min[b]`, `hb_max[b]`.
+struct AllBinRuleState : RuleGeometry {
+  std::vector<int64_t> hb_min;
+  std::vector<int64_t> hb_max;
+};
+
+/// Resolves a Merge target id to its all-bin state (the all-bin
+/// counterpart of `TargetBoundsResolver`; the state's Defined Region is
+/// not read).
+using AllBinTargetResolver =
+    std::function<Result<AllBinRuleState>(ObjectId)>;
+
+/// Capacity of the per-thread memo of the sound Mutate rule's scale
+/// bracket (see docs/RULES.md): the fewest and the most destination
+/// pixels any source pixel maps to under a whole-canvas nearest-neighbor
+/// resize, keyed by (extent, scale). A miss runs the O(new extent) loop.
+inline constexpr size_t kScaleBracketSlots = 1024;
 
 /// Applies the paper's Table 1 rules, one editing operation at a time,
 /// without instantiating any pixels.
@@ -88,18 +122,19 @@ class RuleEngine {
                    const TargetBoundsResolver& resolver,
                    RuleState* state) const;
 
+  /// Initial all-bin state: bin b starts at `counts[b]` pixels out of
+  /// `width` x `height`.
+  static AllBinRuleState InitialAllBinState(
+      const std::vector<int64_t>& counts, int32_t width, int32_t height);
+
+  /// `ApplyRule` for every bin at once: the operation's geometry is
+  /// computed once, and the same per-bin count update runs for each bin.
+  /// `resolver` is consulted once, only for Merge with a non-null target.
+  Status ApplyRuleToAllBins(const EditOp& op,
+                            const AllBinTargetResolver& resolver,
+                            AllBinRuleState* state) const;
+
  private:
-  void ApplyDefine(const DefineOp& op, RuleState* state) const;
-  void ApplyCombine(const CombineOp& op, RuleState* state) const;
-  void ApplyModify(const ModifyOp& op, BinIndex hb, RuleState* state) const;
-  void ApplyMutate(const MutateOp& op, RuleState* state) const;
-  Status ApplyMerge(const MergeOp& op, BinIndex hb,
-                    const TargetBoundsResolver& resolver,
-                    RuleState* state) const;
-
-  /// Widens bounds by up to `changed` pixels changing bin membership.
-  static void WidenBy(int64_t changed, RuleState* state);
-
   ColorQuantizer quantizer_;
   RuleOptions options_;
 };

@@ -108,7 +108,8 @@ struct MutateOp {
 
   // The geometry the editor and the Mutate rule must agree on cell for
   // cell (the rule's bounds are sound only while they do). Inline: the
-  // rule fold calls them once per histogram bin.
+  // rules call them once per operation, and the scale bracket's miss
+  // path once per destination cell.
 
   /// Pure-scale resize (`IsPureScale`): the new extent of an axis
   /// `extent` cells long under its scale factor (M11 for x, M22 for y).

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <thread>
 
 #include "core/bounds.h"
 #include "core/collection.h"
@@ -223,6 +225,120 @@ TEST_P(StructuralLockstep, EditorAndRulesAgreeAfterEveryOp) {
 
 INSTANTIATE_TEST_SUITE_P(SeedSweep, StructuralLockstep,
                          ::testing::Range(uint64_t{200}, uint64_t{212}));
+
+/// Runs the all-bin fold and the one-bin fold for every bin over
+/// `script`, expects the same final state bin for bin or the same failure
+/// from both, and returns the all-bin fold's status.
+Status FoldsAgree(const RuleEngine& engine,
+                  const AugmentedCollection& collection,
+                  const EditScript& script) {
+  const BinaryImageInfo* base = collection.FindBinary(script.base_id);
+  if (base == nullptr) return Status::NotFound("base of the test script");
+  const Result<AllBinRuleState> all = ComputeAllBinRuleState(
+      engine, script, base->histogram.counts(), base->width, base->height,
+      collection.MakeAllBinTargetResolver(engine));
+  const TargetBoundsResolver resolver = collection.MakeTargetResolver(engine);
+  for (BinIndex bin = 0; bin < engine.quantizer().BinCount(); ++bin) {
+    const Result<RuleState> one =
+        ComputeRuleState(engine, script, bin, base->histogram.Count(bin),
+                         base->width, base->height, resolver);
+    EXPECT_EQ(one.status().ToString(), all.status().ToString())
+        << "bin " << bin << "\n" << script.ToString();
+    if (!one.ok() || !all.ok()) continue;
+    const size_t i = static_cast<size_t>(bin);
+    EXPECT_EQ(all->hb_min[i], one->hb_min) << "bin " << bin << "\n"
+                                           << script.ToString();
+    EXPECT_EQ(all->hb_max[i], one->hb_max) << "bin " << bin << "\n"
+                                           << script.ToString();
+    EXPECT_EQ(all->size, one->size);
+    EXPECT_EQ(all->width, one->width);
+    EXPECT_EQ(all->height, one->height);
+    EXPECT_EQ(all->defined_region, one->defined_region);
+  }
+  return all.status();
+}
+
+/// The all-bin fold (one walk for every bin, as top-k uses it) against
+/// the one-bin fold: random scripts with Merges into binary targets, one
+/// Merge into an edited target, a Merge cycle and a missing target, in
+/// sound and paper-strict mode.
+class AllBinFold : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AllBinFold, EqualsOneBinFoldForEveryBin) {
+  Rng rng(GetParam());
+  Universe u = MakeUniverse(rng);
+  const datasets::MergeTarget& first = u.targets.front();
+
+  // A stored edited image to merge into, itself merging into binaries.
+  EditedImageInfo edited_target;
+  edited_target.id = 50;
+  edited_target.script = mmdb::testing::RandomScript(
+      first.id, first.width, first.height, 6, u.targets, rng);
+  ASSERT_TRUE(u.collection.AddEdited(edited_target).ok());
+  // A cycle: an edited image that merges into itself.
+  EditedImageInfo self_merge;
+  self_merge.id = 51;
+  self_merge.script.base_id = first.id;
+  self_merge.script.ops.emplace_back(MergeOp{ObjectId{51}, 0, 0});
+  ASSERT_TRUE(u.collection.AddEdited(self_merge).ok());
+
+  const ObjectId base_id = u.targets.back().id;
+  const EditScript into_edited{
+      base_id,
+      {DefineOp{Rect(1, 2, 9, 8)}, CombineOp::BoxBlur(),
+       MergeOp{ObjectId{50}, 3, 1}, ModifyOp{colors::kRed, colors::kBlue}}};
+  const EditScript into_cycle{base_id, {MergeOp{ObjectId{51}, 0, 0}}};
+  const EditScript into_missing{
+      base_id, {DefineOp{Rect(0, 0, 4, 4)}, MergeOp{ObjectId{999}, 0, 0}}};
+
+  RuleOptions strict;
+  strict.paper_strict = true;
+  for (const RuleOptions& options : {RuleOptions{}, strict}) {
+    const RuleEngine engine(u.quantizer, options);
+    for (int trial = 0; trial < 8; ++trial) {
+      const datasets::MergeTarget& base =
+          u.targets[rng.Uniform(u.targets.size())];
+      EXPECT_TRUE(FoldsAgree(engine, u.collection,
+                             mmdb::testing::RandomScript(
+                                 base.id, base.width, base.height,
+                                 static_cast<int>(rng.UniformInt(1, 10)),
+                                 u.targets, rng))
+                      .ok());
+    }
+    EXPECT_TRUE(FoldsAgree(engine, u.collection, edited_target.script).ok());
+    EXPECT_TRUE(FoldsAgree(engine, u.collection, into_edited).ok());
+    EXPECT_EQ(FoldsAgree(engine, u.collection, into_cycle).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(FoldsAgree(engine, u.collection, into_missing).code(),
+              StatusCode::kNotFound);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedSweep, AllBinFold,
+                         ::testing::Range(uint64_t{300}, uint64_t{316}));
+
+/// The sound Mutate rule's memoized scale bracket against a reference
+/// loop: cold (a fresh thread's empty memo), warm (the same keys again),
+/// and over more keys than the memo holds, so entries are evicted and
+/// recomputed.
+TEST(ScaleBracketTest, MemoMatchesReferenceColdWarmAndOverfull) {
+  const RuleEngine engine(ColorQuantizer(4));
+  constexpr int32_t kFits = 100;      // 7 scales x 100 extents = 700 keys.
+  constexpr int32_t kOverfull = 600;  // 4200 keys.
+  static_assert(7 * kFits < kScaleBracketSlots);
+  static_assert(7 * kOverfull > kScaleBracketSlots);
+  std::string cold, warm, overfull, overfull_again;
+  std::thread([&] {
+    cold = mmdb::testing::ScaleBracketMismatch(engine, kFits);
+    warm = mmdb::testing::ScaleBracketMismatch(engine, kFits);
+    overfull = mmdb::testing::ScaleBracketMismatch(engine, kOverfull);
+    overfull_again = mmdb::testing::ScaleBracketMismatch(engine, kOverfull);
+  }).join();
+  EXPECT_EQ(cold, "");
+  EXPECT_EQ(warm, "");
+  EXPECT_EQ(overfull, "");
+  EXPECT_EQ(overfull_again, "");
+}
 
 TEST(BoundsTest, EmptyScriptYieldsExactBaseFraction) {
   const ColorQuantizer quantizer(4);

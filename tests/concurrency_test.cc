@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/database.h"
 #include "core/similarity.h"
@@ -61,6 +63,21 @@ TEST(ConcurrencyTest, ParallelRangeQueriesAgreeWithSerialAnswers) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ConcurrencyTest, ScaleBracketMemoIsPerThread) {
+  // Each thread fills and evicts its own memo of the Mutate scale
+  // bracket; 4200 keys overflow it, so every thread also recomputes.
+  const RuleEngine engine(ColorQuantizer(4));
+  std::vector<std::string> mismatches(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&engine, &mismatches, t] {
+      mismatches[t] = mmdb::testing::ScaleBracketMismatch(engine, 600);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& mismatch : mismatches) EXPECT_EQ(mismatch, "");
 }
 
 TEST(ConcurrencyTest, ParallelSimilaritySearches) {

@@ -125,6 +125,46 @@ EditScript RandomScript(
   return script;
 }
 
+std::string ScaleBracketMismatch(const RuleEngine& engine,
+                                 int32_t max_extent) {
+  for (const double scale : {2.0, 0.5, 1.5, 0.75, 1.0 / 3.0, 0.1, 2.7}) {
+    for (int32_t extent = 1; extent <= max_extent; ++extent) {
+      // Reference: count the destination cells each source cell feeds.
+      const auto new_extent =
+          static_cast<int32_t>(std::lround(extent * scale));
+      int64_t want_min = 0;
+      int64_t want_max = 0;
+      if (new_extent > 0) {
+        std::vector<int64_t> hits(static_cast<size_t>(extent), 0);
+        for (int32_t x = 0; x < new_extent; ++x) {
+          const auto source = static_cast<int32_t>(std::floor((x + 0.5) / scale));
+          ++hits[static_cast<size_t>(std::clamp(source, 0, extent - 1))];
+        }
+        want_min = *std::min_element(hits.begin(), hits.end());
+        want_max = *std::max_element(hits.begin(), hits.end());
+      }
+      for (const bool along_x : {true, false}) {
+        RuleState state = RuleEngine::InitialState(1, along_x ? extent : 1,
+                                                   along_x ? 1 : extent);
+        const MutateOp resize = along_x ? MutateOp::Scale(scale, 1.0)
+                                        : MutateOp::Scale(1.0, scale);
+        const Status applied = engine.ApplyRule(resize, 0, nullptr, &state);
+        if (!applied.ok() || state.hb_min != want_min ||
+            state.hb_max != want_max ||
+            (along_x ? state.width : state.height) != new_extent) {
+          return "extent " + std::to_string(extent) + " scale " +
+                 std::to_string(scale) + (along_x ? " along x" : " along y") +
+                 ": got [" + std::to_string(state.hb_min) + ", " +
+                 std::to_string(state.hb_max) + "], want [" +
+                 std::to_string(want_min) + ", " + std::to_string(want_max) +
+                 "] (" + applied.ToString() + ")";
+        }
+      }
+    }
+  }
+  return "";
+}
+
 std::string TempPath(const std::string& name) {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();

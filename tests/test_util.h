@@ -32,6 +32,15 @@ EditScript RandomScript(ObjectId base_id, int32_t width, int32_t height,
                         const std::vector<datasets::MergeTarget>& merge_targets,
                         Rng& rng);
 
+/// Runs pure-scale Mutates through `engine` (sound mode) over every
+/// extent in [1, max_extent] and every scale in {2, 0.5, 1.5, 0.75, 1/3,
+/// 0.1, 2.7}, along x on an extent x 1 canvas and along y on a 1 x extent
+/// one, each holding one pixel of the queried bin, so the resulting
+/// [hb_min, hb_max] is the axis' scale bracket. Compares each against a
+/// reference count of the nearest-neighbor resize kept here; returns the
+/// first mismatch, or "" when every bracket agrees.
+std::string ScaleBracketMismatch(const RuleEngine& engine, int32_t max_extent);
+
 /// A path under `::testing::TempDir()` that no other test shares:
 /// `<suite>.<test>.<pid>.<name>`. ctest runs every test as its own
 /// process, so two tests using the same fixed file name collide under
