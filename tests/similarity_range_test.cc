@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "core/database.h"
@@ -16,6 +17,20 @@ TEST(SimilarityRangeTest, RejectsNegativeRadius) {
   const SimilaritySearcher searcher(&db->collection(), &db->rule_engine());
   const ColorHistogram query(db->quantizer().BinCount());
   EXPECT_FALSE(searcher.WithinDistance(query, -0.1).ok());
+}
+
+TEST(SimilarityRangeTest, RejectsNaNRadius) {
+  // NaN fails every comparison, so a plain `radius < 0` test lets it in
+  // and the answer comes back empty instead of an error.
+  auto db = MultimediaDatabase::Open().value();
+  Rng rng(1402);
+  const Image image = testing::RandomBlockImage(16, 16, 6, rng);
+  db->InsertBinaryImage(image).value();
+  const SimilaritySearcher searcher(&db->collection(), &db->rule_engine());
+  const auto answer =
+      searcher.WithinDistance(ExtractHistogram(image, db->quantizer()),
+                              std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SimilarityRangeTest, ExactSelfMatchIsCertainAtRadiusZero) {
