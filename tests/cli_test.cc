@@ -100,6 +100,8 @@ TEST_F(CliTest, FullSessionWorkflow) {
 
   EXPECT_EQ(Run("knn '" + dir_ + "/blue.ppm' 2", &out), 0) << out;
   EXPECT_NE(out.find("candidates"), std::string::npos) << out;
+  // knn goes through the facade's validation: k = 0 is rejected.
+  EXPECT_NE(Run("knn '" + dir_ + "/blue.ppm' 0", &out), 0) << out;
 
   EXPECT_EQ(Run("get 3 '" + dir_ + "/export.ppm'", &out), 0) << out;
   const auto exported = ReadPpmFile(dir_ + "/export.ppm");

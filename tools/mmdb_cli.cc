@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <variant>
@@ -21,7 +22,6 @@
 
 #include "core/database.h"
 #include "core/query_parser.h"
-#include "core/similarity.h"
 #include "editops/dsl.h"
 #include "editops/delta.h"
 #include "datasets/recipes.h"
@@ -269,18 +269,23 @@ int CmdImportDelta(MultimediaDatabase& db, ObjectId base,
   return db.Flush().ok() ? 0 : 1;
 }
 
-int CmdKnn(MultimediaDatabase& db, const std::string& path, size_t k) {
+int CmdKnn(MultimediaDatabase& db, const std::string& path, uint64_t k) {
+  if (k > std::numeric_limits<uint32_t>::max()) {
+    return Fail(Status::InvalidArgument("knn k " + std::to_string(k) +
+                                        " is too large"));
+  }
   Result<Image> query_image = ReadPpmFile(path);
   if (!query_image.ok()) return Fail(query_image.status());
-  const ColorHistogram query =
-      ExtractHistogram(*query_image, db.quantizer());
-  const SimilaritySearcher searcher(&db.collection(), &db.rule_engine());
-  const auto matches = searcher.Knn(query, k);
-  if (!matches.ok()) return Fail(matches.status());
-  std::cout << matches->size() << " candidates (true top-" << k
+  SimilarityQuery query;
+  query.histogram = ExtractHistogram(*query_image, db.quantizer());
+  query.k = static_cast<uint32_t>(k);
+  const Result<QueryResult> result = db.RunSimilarity(query);
+  if (!result.ok()) return Fail(result.status());
+  const std::vector<SimilarityMatch>& matches = result->matches;
+  std::cout << matches.size() << " candidates (true top-" << k
             << " guaranteed inside):\n";
-  for (size_t i = 0; i < matches->size() && i < k + 5; ++i) {
-    const SimilarityMatch& match = (*matches)[i];
+  for (size_t i = 0; i < matches.size() && i < k + 5; ++i) {
+    const SimilarityMatch& match = matches[i];
     std::cout << "  #" << match.id << "  L1 in ["
               << TablePrinter::Cell(match.distance_lo, 4) << ", "
               << TablePrinter::Cell(match.distance_hi, 4) << "]"
