@@ -149,7 +149,7 @@ int RunFigureSweep(const FigureSweepConfig& config) {
             << "\n\n";
 
   TablePrinter table({"% edit-stored", "RBM w/out DS (ms/query)",
-                      "BWM with DS (ms/query)", "BWM+R-tree (ms/query)",
+                      "BWM with DS (ms/query)", "BWM+index (ms/query)",
                       "speedup %", "rules RBM", "rules BWM",
                       "skipped by BWM"});
   JsonWriter json;

@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark) for the building blocks: rule
 // application per operation type, the BOUNDS fold, histogram extraction,
-// instantiation, PPM codec, blob store, and R-tree operations.
+// instantiation, PPM codec, blob store, and histogram index operations.
 
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bounds.h"
@@ -15,7 +16,7 @@
 #include "datasets/generators.h"
 #include "image/editor.h"
 #include "image/ppm_io.h"
-#include "index/rtree.h"
+#include "index/histogram_index.h"
 #include "storage/object_store.h"
 #include "util/random.h"
 
@@ -109,42 +110,55 @@ void BM_MemoryStorePutGet(benchmark::State& state) {
 }
 BENCHMARK(BM_MemoryStorePutGet)->Arg(128)->Arg(16384);
 
-void BM_RTreeInsert(benchmark::State& state) {
+/// `count` 64-bin signatures with a few colors each, flag-like.
+std::vector<ColorHistogram> SparseHistograms(int64_t count, Rng& rng) {
+  std::vector<ColorHistogram> out;
+  for (int64_t i = 0; i < count; ++i) {
+    ColorHistogram hist(64);
+    for (int color = 0; color < 4; ++color) {
+      hist.Add(static_cast<BinIndex>(rng.Uniform(64)), rng.UniformInt(1, 1000));
+    }
+    out.push_back(std::move(hist));
+  }
+  return out;
+}
+
+void BM_HistogramIndexInsert(benchmark::State& state) {
   Rng rng(4);
+  const std::vector<ColorHistogram> histograms =
+      SparseHistograms(state.range(0), rng);
   for (auto _ : state) {
     state.PauseTiming();
-    RTree tree(8);
+    HistogramIndex index(64);
     state.ResumeTiming();
-    for (int i = 0; i < state.range(0); ++i) {
-      std::vector<double> point(8);
-      for (double& v : point) v = rng.NextDouble();
+    for (size_t i = 0; i < histograms.size(); ++i) {
       benchmark::DoNotOptimize(
-          tree.Insert(HyperRect::Point(std::move(point)), i + 1));
+          index.Insert(static_cast<ObjectId>(i + 1), histograms[i]));
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_RTreeInsert)->Arg(100)->Arg(1000);
+BENCHMARK(BM_HistogramIndexInsert)->Arg(100)->Arg(1000);
 
-void BM_RTreeRangeSearch(benchmark::State& state) {
+void BM_HistogramIndexRangeSearch(benchmark::State& state) {
   Rng rng(5);
-  RTree tree(8);
-  for (int i = 0; i < 2000; ++i) {
-    std::vector<double> point(8);
-    for (double& v : point) v = rng.NextDouble();
-    if (!tree.Insert(HyperRect::Point(std::move(point)), i + 1).ok()) {
+  HistogramIndex index(64);
+  const std::vector<ColorHistogram> histograms = SparseHistograms(2000, rng);
+  for (size_t i = 0; i < histograms.size(); ++i) {
+    if (!index.Insert(static_cast<ObjectId>(i + 1), histograms[i]).ok()) {
       state.SkipWithError("insert failed");
       return;
     }
   }
-  HyperRect query;
-  query.min.assign(8, 0.25);
-  query.max.assign(8, 0.75);
+  RangeQuery query;
+  query.bin = 7;
+  query.min_fraction = 0.25;
+  query.max_fraction = 0.75;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.RangeSearch(query));
+    benchmark::DoNotOptimize(index.RangeSearch(query));
   }
 }
-BENCHMARK(BM_RTreeRangeSearch);
+BENCHMARK(BM_HistogramIndexRangeSearch);
 
 }  // namespace
 }  // namespace mmdb

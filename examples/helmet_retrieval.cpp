@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
             << " edit-sequence images; BWM Main component covers "
             << db->bwm_index().MainEditedCount() << " of them\n";
 
-  // Conventional access path for the binary images: histogram R-tree.
+  // Conventional access path for the binary images: the histogram index.
   mmdb::HistogramIndex index(db->quantizer().BinCount());
   for (mmdb::ObjectId id : db->collection().binary_ids()) {
     if (auto inserted =
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   const auto bwm_us = watch.ElapsedMicros();
 
   std::cout << "\n\"at least 20% navy\":\n"
-            << "  R-tree over binary signatures: " << via_index.size()
+            << "  histogram index over binary signatures: " << via_index.size()
             << " binary matches in " << index_us << " us\n"
             << "  BWM over the whole augmented DB: " << via_bwm.ids.size()
             << " matches (binary + edited) in " << bwm_us << " us, "

@@ -42,10 +42,7 @@ namespace {
 obs::SpanCategory* QuerySpanFor(QueryMethod method) {
   static const std::map<QueryMethod, obs::SpanCategory*>* const table = [] {
     auto* out = new std::map<QueryMethod, obs::SpanCategory*>();
-    for (QueryMethod m :
-         {QueryMethod::kInstantiate, QueryMethod::kRbm, QueryMethod::kBwm,
-          QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm,
-          QueryMethod::kPlanned}) {
+    for (QueryMethod m : kQueryMethods) {
       (*out)[m] = obs::Tracer::Default().Intern(
           "query." + std::string(QueryMethodName(m)));
     }
@@ -471,8 +468,7 @@ Status MultimediaDatabase::DeleteImage(ObjectId id) {
     bwm_index_.RemoveEdited(id, edited->script.base_id);
     MMDB_RETURN_IF_ERROR(collection_.RemoveEdited(id));
   } else {
-    MMDB_RETURN_IF_ERROR(histogram_index_.Remove(
-        HyperRect::Point(binary->histogram.Normalized()), id));
+    MMDB_RETURN_IF_ERROR(histogram_index_.Remove(id, binary->histogram));
     bwm_index_.RemoveBinary(id);
     MMDB_RETURN_IF_ERROR(collection_.RemoveBinary(id));
   }

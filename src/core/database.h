@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -66,9 +67,10 @@ enum class QueryMethod {
   /// Bound-Widening Method: RBM plus the Main/Unclassified data structure
   /// ("with data structure").
   kBwm,
-  /// BWM with the binary-image side answered by the histogram R-tree
-  /// (the conventional access path of Section 4's opening) instead of a
-  /// linear histogram scan. Same result sets as kBwm.
+  /// BWM with the binary-image side answered by one probe of the
+  /// histogram index's per-bin postings (the conventional access path of
+  /// Section 4's opening) instead of a linear histogram scan. Same result
+  /// sets as kBwm.
   kBwmIndexed,
   /// RBM with the edited-image scan chunked across the database's
   /// persistent worker pool (beyond-paper). Same result sets — and the
@@ -78,9 +80,19 @@ enum class QueryMethod {
   /// conjuncts, a per-predicate access-path choice calibrated from the
   /// paper's Fig 3/4 crossover, and a driver-plus-residual-filter
   /// execution. Same result *sets* as kRbm / kBwm; result order follows
-  /// the driving predicate's scan.
+  /// the driving predicate's scan. Stays last (see `kQueryMethods`).
   kPlanned,
 };
+
+/// Every `QueryMethod`, in enum order: the one list that per-method
+/// tables (spans, metrics, latency histograms, name lookups) iterate.
+inline constexpr QueryMethod kQueryMethods[] = {
+    QueryMethod::kInstantiate, QueryMethod::kRbm,
+    QueryMethod::kBwm,         QueryMethod::kBwmIndexed,
+    QueryMethod::kParallelRbm, QueryMethod::kPlanned};
+static_assert(std::size(kQueryMethods) ==
+                  static_cast<size_t>(QueryMethod::kPlanned) + 1,
+              "kQueryMethods must list every QueryMethod");
 
 /// Human-readable method name ("rbm", "bwm", ...), for tables and logs.
 std::string_view QueryMethodName(QueryMethod method);
@@ -168,12 +180,12 @@ class MultimediaDatabase {
   /// `RunConjunctive` dispatch through this). kRbm, kBwm, kBwmIndexed and
   /// kParallelRbm are settings of the one scan kernel (core/scan.h):
   ///
-  /// | method         | binary side                  | loose edited images |
-  /// |----------------|------------------------------|---------------------|
-  /// | kRbm           | flat                         | serial              |
-  /// | kBwm           | Main clusters                | serial              |
-  /// | kBwmIndexed    | Main clusters, R-tree probe  | serial              |
-  /// | kParallelRbm   | flat                         | chunked on the pool |
+  /// | method         | binary side                   | loose edited images |
+  /// |----------------|-------------------------------|---------------------|
+  /// | kRbm           | flat                          | serial              |
+  /// | kBwm           | Main clusters                 | serial              |
+  /// | kBwmIndexed    | Main clusters, postings probe | serial              |
+  /// | kParallelRbm   | flat                          | chunked on the pool |
   ///
   /// Processors are cheap to build (one per query) and borrow this
   /// database's in-memory read state; they must not outlive it.
@@ -218,8 +230,8 @@ class MultimediaDatabase {
   const RuleEngine& rule_engine() const { return rule_engine_; }
   const AugmentedCollection& collection() const { return collection_; }
   const BwmIndex& bwm_index() const { return bwm_index_; }
-  /// R-tree over the binary images' histogram signatures, kept in sync
-  /// by inserts and deletes; drives `QueryMethod::kBwmIndexed`.
+  /// Per-bin postings over the binary images' histogram signatures, kept
+  /// in sync by inserts and deletes; drives `QueryMethod::kBwmIndexed`.
   const HistogramIndex& histogram_index() const { return histogram_index_; }
   const ObjectStore& object_store() const { return *store_; }
 

@@ -26,9 +26,10 @@ std::string Fixed(double value, int digits = 1) {
 /// application. The ratios are calibrated from the paper's Figures 3/4:
 /// instantiating an edited image costs orders of magnitude more than
 /// folding its rules; accepting a Main-cluster member is ~an order of
-/// magnitude cheaper than one rule fold; and the R-tree pays a traversal
-/// overhead that a linear histogram scan beats once a predicate stops
-/// being selective (the conventional-vs-indexed crossover).
+/// magnitude cheaper than one rule fold; and an index probe pays a
+/// per-result overhead that a linear histogram scan beats once a
+/// predicate stops being selective (the conventional-vs-indexed
+/// crossover).
 struct CostModel {
   /// One rule application during a BOUNDS fold.
   static constexpr double kRuleCost = 1.0;
@@ -36,7 +37,10 @@ struct CostModel {
   static constexpr double kHistogramProbe = 0.25;
   /// Accepting one Main-component member without touching its script.
   static constexpr double kClusterSkip = 0.05;
-  /// Visiting one R-tree node (traversal + per-result overhead).
+  /// One step of a histogram index probe: a level of the postings
+  /// search, or one match copied out, sorted and looked up per cluster.
+  /// The value was fitted to the R-tree the postings replaced; re-fitting
+  /// it changes planned choices, so it waits for measured numbers.
   static constexpr double kIndexNode = 2.0;
   /// Materializing one edited image (the kInstantiate baseline).
   static constexpr double kInstantiateFactor = 400.0;
@@ -171,9 +175,10 @@ double QueryPlanner::MethodCost(QueryMethod method, double selectivity) const {
     case QueryMethod::kBwm:
       return binary * CostModel::kHistogramProbe + edited_bwm;
     case QueryMethod::kBwmIndexed:
-      // R-tree descent plus per-result node visits; the linear histogram
-      // scan wins this back once the predicate stops being selective —
-      // the conventional-vs-indexed crossover of Fig 3/4.
+      // A postings search (log of the corpus) plus per-match work; the
+      // linear histogram scan wins this back once the predicate stops
+      // being selective — the conventional-vs-indexed crossover of
+      // Fig 3/4.
       return CostModel::kIndexNode *
                  (std::log2(binary + 2.0) + selectivity * binary) +
              selectivity * binary * CostModel::kHistogramProbe + edited_bwm;

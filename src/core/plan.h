@@ -18,7 +18,7 @@ struct QueryRequest;
 /// Where a selectivity estimate came from.
 enum class SelectivitySource {
   /// Exact per-bin occupancy of every stored histogram (the same
-  /// signatures the histogram R-tree indexes).
+  /// signatures the histogram index's postings hold).
   kIndex,
   /// Fractions sampled from a bounded subset of edited images' base
   /// histograms.

@@ -12,8 +12,9 @@ Status ValidateConjunctive(const ConjunctiveQuery& query, BinIndex bin_count) {
                                      std::to_string(conjunct.bin) +
                                      " out of range");
     }
-    if (conjunct.min_fraction > conjunct.max_fraction) {
-      return Status::InvalidArgument("query range is empty");
+    // Written so a NaN bound fails too: every comparison with NaN is false.
+    if (!(conjunct.min_fraction <= conjunct.max_fraction)) {
+      return Status::InvalidArgument("query range is empty or NaN");
     }
   }
   return Status::OK();

@@ -77,10 +77,7 @@ MethodInstruments BuildInstruments(const std::string& name) {
 const MethodInstruments& InstrumentsFor(QueryMethod method) {
   static const std::map<QueryMethod, MethodInstruments>* const table = [] {
     auto* out = new std::map<QueryMethod, MethodInstruments>();
-    for (QueryMethod m :
-         {QueryMethod::kInstantiate, QueryMethod::kRbm, QueryMethod::kBwm,
-          QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm,
-          QueryMethod::kPlanned}) {
+    for (QueryMethod m : kQueryMethods) {
       out->emplace(m, BuildInstruments(std::string(QueryMethodName(m))));
     }
     return out;

@@ -218,7 +218,7 @@ class Parser {
       const char op = text_[pos_];
       pos_ += 2;
       MMDB_ASSIGN_OR_RETURN(double value, ParseFraction());
-      if (value < 0.0 || value > 1.0) {
+      if (!(value >= 0.0 && value <= 1.0)) {  // Also rejects NaN.
         return Error("fraction must be within [0, 1]");
       }
       if (op == '>') {
@@ -236,7 +236,7 @@ class Parser {
     MMDB_ASSIGN_OR_RETURN(double lo, ParseFraction());
     MMDB_RETURN_IF_ERROR(ExpectKeyword("and"));
     MMDB_ASSIGN_OR_RETURN(double hi, ParseFraction());
-    if (lo < 0.0 || hi > 1.0 || lo > hi) {
+    if (!(lo >= 0.0 && hi <= 1.0 && lo <= hi)) {  // Also rejects NaN.
       return Error("invalid between range");
     }
     query.min_fraction = lo;

@@ -36,11 +36,6 @@ obs::SpanCategory* QuerySpan() {
   return category;
 }
 
-constexpr QueryMethod kAllMethods[] = {
-    QueryMethod::kInstantiate, QueryMethod::kRbm,
-    QueryMethod::kBwm,         QueryMethod::kBwmIndexed,
-    QueryMethod::kParallelRbm, QueryMethod::kPlanned};
-
 }  // namespace
 
 QueryService::QueryService(const MultimediaDatabase* db,
@@ -49,7 +44,7 @@ QueryService::QueryService(const MultimediaDatabase* db,
   if (options.admission.max_in_flight > 0) {
     admission_ = std::make_unique<AdmissionController>(options.admission);
   }
-  for (QueryMethod method : kAllMethods) {
+  for (QueryMethod method : kQueryMethods) {
     MethodLatency latency;
     latency.local = std::make_unique<obs::Histogram>();
     latency.registry = obs::Registry::Default().GetHistogram(

@@ -1,20 +1,24 @@
 #ifndef MMDB_INDEX_HISTOGRAM_INDEX_H_
 #define MMDB_INDEX_HISTOGRAM_INDEX_H_
 
-#include <utility>
+#include <map>
 #include <vector>
 
 #include "core/histogram.h"
 #include "core/query.h"
-#include "index/rtree.h"
 #include "util/result.h"
 
 namespace mmdb {
 
 /// The conventional access path the paper describes in Section 4's
-/// opening: binary-image histogram signatures organized in a
-/// multidimensional index (an R-tree) so range queries prune whole
-/// regions of histogram space without touching each image.
+/// opening: an index over the binary images' histogram signatures, so a
+/// range query finds its binary matches without testing each image.
+///
+/// A range predicate constrains one bin, so it is a 1-D interval query:
+/// each bin keeps per-bin sorted postings (the per-color indexing of
+/// Belazzougui et al.), and a probe walks one bin's postings over the
+/// window. A multidimensional index (an R-tree) would intersect nearly
+/// every box with such a window.
 ///
 /// Only conventionally stored images are indexable this way — edited
 /// images have no extracted signature, which is exactly why the paper
@@ -22,32 +26,32 @@ namespace mmdb {
 /// methods.
 class HistogramIndex {
  public:
-  /// `bins` is the quantizer's bin count (index dimensionality).
+  /// `bins` is the quantizer's bin count.
   explicit HistogramIndex(int32_t bins);
 
-  /// Indexes the signature of binary image `id`.
+  /// Indexes the signature of binary image `id`. Ids may arrive in any
+  /// order.
   Status Insert(ObjectId id, const ColorHistogram& histogram);
 
-  /// Removes a previously indexed signature (point key + id).
-  Status Remove(const HyperRect& point, ObjectId id) {
-    return tree_.Remove(point, id);
-  }
+  /// Removes the entry `Insert(id, histogram)` made; NotFound (and no
+  /// change) when there is none. With duplicates, one is removed.
+  Status Remove(ObjectId id, const ColorHistogram& histogram);
 
-  /// Ids of indexed images that may satisfy `query` (fraction of `bin` in
-  /// [min, max]); exact for point signatures.
+  /// Ids of indexed images whose `Fraction(query.bin)` lies in
+  /// [min_fraction, max_fraction], bounds inclusive, in no set order.
+  /// The bounds must not be NaN; `ValidateConjunctive` refuses them.
   Result<std::vector<ObjectId>> RangeSearch(const RangeQuery& query) const;
 
-  /// The k indexed images nearest to `query` by L2 distance over
-  /// normalized histograms.
-  Result<std::vector<std::pair<ObjectId, double>>> Knn(
-      const ColorHistogram& query, size_t k) const;
-
-  size_t Size() const { return tree_.Size(); }
-  const RTree& tree() const { return tree_; }
+  size_t Size() const { return size_; }
 
  private:
+  /// One bin's postings: each stored fraction (the exact value the scan
+  /// tests) and the ids that hold it, ascending.
+  using Postings = std::map<double, std::vector<ObjectId>>;
+
   int32_t bins_;
-  RTree tree_;
+  std::vector<Postings> postings_;
+  size_t size_ = 0;
 };
 
 }  // namespace mmdb

@@ -29,7 +29,6 @@
 
 // Index structures.
 #include "index/histogram_index.h"
-#include "index/rtree.h"
 
 // Edit-script internals: binary serialization, delta encoding, and the
 // script optimizer (the facade applies these on insert).

@@ -157,6 +157,22 @@ std::string EncodeRequestFields(FrameType type, const QueryRequest& request,
   return w.Take();
 }
 
+/// Reads one (bin, min, max) range predicate, refusing a NaN bound: no
+/// window has a NaN end, and a peer's bytes may hold any f64.
+Status GetRangeQuery(WireReader& f, std::string_view what, RangeQuery* out) {
+  uint32_t bin;
+  if (!f.GetU32(&bin) || !f.GetF64(&out->min_fraction) ||
+      !f.GetF64(&out->max_fraction)) {
+    return Status::InvalidArgument("truncated " + std::string(what));
+  }
+  if (std::isnan(out->min_fraction) || std::isnan(out->max_fraction)) {
+    return Status::InvalidArgument("NaN fraction bound in " +
+                                   std::string(what));
+  }
+  out->bin = static_cast<BinIndex>(bin);
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string EncodeExecuteRequest(const QueryRequest& request,
@@ -191,13 +207,8 @@ Result<QueryRequest> DecodeExecuteRequest(const Frame& frame) {
             return Status::OK();
           }
           case tag::kRange: {
-            uint32_t bin;
             RangeQuery range;
-            if (!f.GetU32(&bin) || !f.GetF64(&range.min_fraction) ||
-                !f.GetF64(&range.max_fraction)) {
-              return Status::InvalidArgument("truncated range field");
-            }
-            range.bin = static_cast<BinIndex>(bin);
+            MMDB_RETURN_IF_ERROR(GetRangeQuery(f, "range field", &range));
             request.payload = range;
             saw_range = true;
             return Status::OK();
@@ -209,13 +220,9 @@ Result<QueryRequest> DecodeExecuteRequest(const Frame& frame) {
             }
             ConjunctiveQuery conjunctive;
             for (uint32_t i = 0; i < count; ++i) {
-              uint32_t bin;
               RangeQuery conjunct;
-              if (!f.GetU32(&bin) || !f.GetF64(&conjunct.min_fraction) ||
-                  !f.GetF64(&conjunct.max_fraction)) {
-                return Status::InvalidArgument("truncated conjunct list");
-              }
-              conjunct.bin = static_cast<BinIndex>(bin);
+              MMDB_RETURN_IF_ERROR(
+                  GetRangeQuery(f, "conjunct list", &conjunct));
               conjunctive.conjuncts.push_back(conjunct);
             }
             request.payload = std::move(conjunctive);

@@ -15,6 +15,7 @@
 // then `ctest -L network`).
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -375,6 +376,23 @@ TEST(WireProtocolTest, TruncationAtEveryByteIsRejectedNotCrashed) {
       ExpectSameQuery(request, *decoded);  // Only the full payload decodes.
       EXPECT_EQ(len, payload.size());
     }
+  }
+}
+
+TEST(WireProtocolTest, NaNFractionBoundIsRejected) {
+  // A peer's bytes may hold any f64; no window has a NaN end.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<QueryRequest> requests = {
+      QueryRequest::Range(RangeQuery{3, nan, 1.0}, QueryMethod::kBwm),
+      QueryRequest::Conjunctive(
+          ConjunctiveQuery{{RangeQuery{3, 0.0, 1.0}, RangeQuery{4, 0.0, nan}}},
+          QueryMethod::kRbm)};
+  for (const QueryRequest& request : requests) {
+    const std::string payload = net::EncodeExecuteRequest(request);
+    const Result<Frame> frame = ParseFrame(payload);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(net::DecodeExecuteRequest(*frame).status().code(),
+              StatusCode::kInvalidArgument);
   }
 }
 

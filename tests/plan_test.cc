@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -279,6 +280,17 @@ TEST(ExplainQueryTest, RejectsWhatTheQueryPathRejects) {
       StatusCode::kInvalidArgument);
   EXPECT_EQ(ExplainQuery(*db, QueryRequest::Conjunctive(empty_window,
                                                          QueryMethod::kPlanned))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  const ConjunctiveQuery nan_bound{
+      {RangeQuery{0, 0.0, 1.0},
+       RangeQuery{1, std::numeric_limits<double>::quiet_NaN(), 1.0}}};
+  EXPECT_EQ(
+      db->RunConjunctive(nan_bound, QueryMethod::kBwmIndexed).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExplainQuery(*db, QueryRequest::Conjunctive(
+                                  nan_bound, QueryMethod::kBwmIndexed))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

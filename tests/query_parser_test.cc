@@ -74,6 +74,8 @@ TEST_F(QueryParserTest, RejectsMalformedInput) {
       "color(#0000ff) >= ",       // Missing number.
       "color(#0000ff) >= 1.5",    // Out of range.
       "color(#0000ff) between 0.6 and 0.2",  // Inverted.
+      "color(#0000ff) >= nan",             // NaN.
+      "color(#0000ff) between nan and 1",  // NaN.
       "color(99999) >= 0.5",      // Bin out of range.
       "color(#0000ff) >= 0.5 and",
       "color('#0000ff) >= 0.5",   // Unterminated quote.

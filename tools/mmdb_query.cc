@@ -86,10 +86,7 @@ int Run(int argc, char** argv) {
 
   QueryMethod method = QueryMethod::kBwm;
   bool method_found = false;
-  for (QueryMethod m :
-       {QueryMethod::kInstantiate, QueryMethod::kRbm, QueryMethod::kBwm,
-        QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm,
-        QueryMethod::kPlanned}) {
+  for (QueryMethod m : kQueryMethods) {
     if (method_name == QueryMethodName(m)) {
       method = m;
       method_found = true;
