@@ -63,21 +63,18 @@ int Run() {
         !datasets::BuildAugmentedDatabase(threaded->get(), spec).ok()) {
       return 1;
     }
-    const struct {
-      const MultimediaDatabase* db;
-      Result<QueryResult> RunRange(const RangeQuery& query) const {
-        return db->RunRange(query, QueryMethod::kParallelRbm);
-      }
-    } processor{threaded->get()};
     // Warm up, then take the median of 7 rounds.
     for (const RangeQuery& query : workload) {
-      if (!processor.RunRange(query).ok()) return 1;
+      if (!(*threaded)->RunRange(query, QueryMethod::kParallelRbm).ok()) {
+        return 1;
+      }
     }
     std::vector<double> rounds;
     for (int r = 0; r < 7; ++r) {
       Stopwatch watch;
       for (const RangeQuery& query : workload) {
-        const auto result = processor.RunRange(query);
+        const auto result =
+            (*threaded)->RunRange(query, QueryMethod::kParallelRbm);
         if (!result.ok()) {
           std::cerr << result.status().ToString() << "\n";
           return 1;

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,15 +50,20 @@ void BM_RuleApplication(benchmark::State& state) {
       EditOp(MergeOp{}),
   };
   const EditOp& op = ops[state.range(0)];
+  const std::vector<BinIndex> bins = {0};
+  const RuleState initial = RuleEngine::InitialState({1000}, 96, 96);
+  RuleState rule_state = initial;
   for (auto _ : state) {
-    RuleState rule_state = RuleEngine::InitialState(1000, 96, 96);
-    benchmark::DoNotOptimize(
-        engine.ApplyRule(op, 0, nullptr, &rule_state));
+    rule_state = initial;  // Same sizes: reuses the buffers.
+    benchmark::DoNotOptimize(engine.ApplyRule(op, bins, nullptr, &rule_state));
   }
   state.SetLabel(EditOpToString(op).substr(0, 12));
 }
 BENCHMARK(BM_RuleApplication)->DenseRange(0, 4);
 
+/// The fold over a script of range(0) operations for range(1) bins: 1 is
+/// a range query, 3 a conjunction, 64 top-k. Items are rule applications
+/// (operations x bins), as `rules_applied` counts them.
 void BM_BoundsFoldVsScriptLength(benchmark::State& state) {
   const ColorQuantizer quantizer(4);
   const RuleEngine engine(quantizer);
@@ -65,14 +71,22 @@ void BM_BoundsFoldVsScriptLength(benchmark::State& state) {
   const EditScript script = datasets::MakeRandomScript(
       1, 96, 96, /*all_widening=*/true, static_cast<int>(state.range(0)),
       datasets::HelmetPalette(), {}, rng);
+  const std::vector<int64_t> base_counts =
+      ExtractHistogram(BenchImage(96), quantizer).counts();
+  std::vector<BinIndex> bins(static_cast<size_t>(state.range(1)));
+  std::iota(bins.begin(), bins.end(), BinIndex{0});
+  RuleState fold_state;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ComputeBounds(engine, script, 0, 1000, 96, 96, nullptr));
+    benchmark::DoNotOptimize(FoldRules(engine, script, bins, base_counts, 96,
+                                       96, nullptr, &fold_state));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(script.ops.size()));
+                          static_cast<int64_t>(script.ops.size()) *
+                          state.range(1));
 }
-BENCHMARK(BM_BoundsFoldVsScriptLength)->Arg(2)->Arg(8)->Arg(32);
+BENCHMARK(BM_BoundsFoldVsScriptLength)
+    ->ArgNames({"ops", "bins"})
+    ->ArgsProduct({{2, 8, 32}, {1, 3, 64}});
 
 void BM_Instantiation(benchmark::State& state) {
   const Image base = BenchImage(96);

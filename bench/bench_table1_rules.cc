@@ -4,6 +4,8 @@
 // worked example and validates it against actual instantiation.
 
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/bounds.h"
@@ -19,6 +21,30 @@ struct WorkedRow {
   std::string operation;
   std::string condition;
   EditScript script;
+};
+
+/// Resolves the non-null Merge row's one stored target to its exact
+/// counts.
+class StoredTarget final : public MergeTargetResolver {
+ public:
+  StoredTarget(ObjectId id, const Image& image, const ColorHistogram& hist)
+      : id_(id), image_(image), hist_(hist) {}
+
+  Result<const RuleState*> Resolve(
+      ObjectId id, const std::vector<BinIndex>& bins) const override {
+    if (id != id_) return Status::NotFound("target");
+    std::vector<int64_t> counts;
+    for (BinIndex bin : bins) counts.push_back(hist_.Count(bin));
+    state_ = RuleEngine::InitialState(counts, image_.width(), image_.height());
+    state_.size = hist_.Total();
+    return &state_;
+  }
+
+ private:
+  ObjectId id_;
+  const Image& image_;
+  const ColorHistogram& hist_;
+  mutable RuleState state_;
 };
 
 int Run() {
@@ -39,16 +65,7 @@ int Run() {
   constexpr ObjectId kTargetId = 500;
   const ColorHistogram target_hist =
       ExtractHistogram(target_image, quantizer);
-  const TargetBoundsResolver resolver =
-      [&](ObjectId id, BinIndex bin) -> Result<TargetBounds> {
-    if (id != kTargetId) return Status::NotFound("target");
-    TargetBounds out;
-    out.hb_min = out.hb_max = target_hist.Count(bin);
-    out.size = target_hist.Total();
-    out.width = target_image.width();
-    out.height = target_image.height();
-    return out;
-  };
+  const StoredTarget resolver(kTargetId, target_image, target_hist);
   const ImageResolver pixels = [&](ObjectId id) -> Result<Image> {
     if (id != kTargetId) return Status::NotFound("target");
     return target_image;
@@ -109,11 +126,12 @@ int Run() {
   const Editor editor(pixels);
   bool all_sound = true;
   for (const WorkedRow& row : rows) {
-    const auto state =
-        ComputeRuleState(engine, row.script, hb, base_hist.Count(hb),
-                         base.width(), base.height(), resolver);
-    if (!state.ok()) {
-      std::cerr << "rule failed: " << state.status().ToString() << "\n";
+    RuleState state;
+    const Status folded =
+        FoldRules(engine, row.script, {hb}, base_hist.counts(), base.width(),
+                  base.height(), &resolver, &state);
+    if (!folded.ok()) {
+      std::cerr << "rule failed: " << folded.ToString() << "\n";
       return 1;
     }
     const auto instantiated = editor.Instantiate(base, row.script);
@@ -124,20 +142,20 @@ int Run() {
     }
     const int64_t exact =
         ExtractHistogram(*instantiated, quantizer).Count(hb);
-    const bool sound = state->hb_min <= exact && exact <= state->hb_max &&
-                       state->size == instantiated->PixelCount();
+    const bool sound = state.hb_min[0] <= exact && exact <= state.hb_max[0] &&
+                       state.size == instantiated->PixelCount();
     all_sound = all_sound && sound;
     table.AddRow({row.operation, row.condition,
-                  TablePrinter::Cell(state->hb_min),
-                  TablePrinter::Cell(state->hb_max),
-                  TablePrinter::Cell(state->size),
+                  TablePrinter::Cell(state.hb_min[0]),
+                  TablePrinter::Cell(state.hb_max[0]),
+                  TablePrinter::Cell(state.size),
                   TablePrinter::Cell(exact), sound ? "yes" : "NO"});
     json.BeginObject();
     json.Key("operation").String(row.operation);
     json.Key("condition").String(row.condition);
-    json.Key("hb_min").Int(state->hb_min);
-    json.Key("hb_max").Int(state->hb_max);
-    json.Key("total_pixels").Int(state->size);
+    json.Key("hb_min").Int(state.hb_min[0]);
+    json.Key("hb_max").Int(state.hb_max[0]);
+    json.Key("total_pixels").Int(state.size);
     json.Key("exact_instantiated").Int(exact);
     json.Key("sound").Bool(sound);
     json.EndObject();

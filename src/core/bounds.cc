@@ -2,68 +2,32 @@
 
 namespace mmdb {
 
-Result<RuleState> ComputeRuleState(const RuleEngine& engine,
-                                   const EditScript& script, BinIndex hb,
-                                   int64_t base_hb_count, int32_t base_width,
-                                   int32_t base_height,
-                                   const TargetBoundsResolver& resolver,
-                                   CancelCheck* check) {
-  RuleState state =
-      RuleEngine::InitialState(base_hb_count, base_width, base_height);
+Status FoldRules(const RuleEngine& engine, const EditScript& script,
+                 const std::vector<BinIndex>& bins,
+                 const std::vector<int64_t>& base_counts, int32_t base_width,
+                 int32_t base_height, const MergeTargetResolver* resolver,
+                 RuleState* state, CancelCheck* check) {
+  static_cast<RuleGeometry&>(*state) =
+      RuleGeometry::Full(base_width, base_height);
+  state->hb_min.resize(bins.size());
+  for (size_t i = 0; i < bins.size(); ++i) {
+    state->hb_min[i] = base_counts[static_cast<size_t>(bins[i])];
+  }
+  state->hb_max = state->hb_min;
   for (const EditOp& op : script.ops) {
     if (check != nullptr) MMDB_RETURN_IF_ERROR(check->Check());
-    MMDB_RETURN_IF_ERROR(engine.ApplyRule(op, hb, resolver, &state));
+    MMDB_RETURN_IF_ERROR(engine.ApplyRule(op, bins, resolver, state));
   }
-  return state;
+  return Status::OK();
 }
 
-Result<AllBinRuleState> ComputeAllBinRuleState(
-    const RuleEngine& engine, const EditScript& script,
-    const std::vector<int64_t>& base_counts, int32_t base_width,
-    int32_t base_height, const AllBinTargetResolver& resolver,
-    CancelCheck* check) {
-  AllBinRuleState state =
-      RuleEngine::InitialAllBinState(base_counts, base_width, base_height);
-  for (const EditOp& op : script.ops) {
-    if (check != nullptr) MMDB_RETURN_IF_ERROR(check->Check());
-    MMDB_RETURN_IF_ERROR(engine.ApplyRuleToAllBins(op, resolver, &state));
-  }
-  return state;
-}
-
-namespace {
-
-FractionBounds Fractions(int64_t hb_min, int64_t hb_max, int64_t size) {
+FractionBounds ToFractionBounds(const RuleState& state, size_t i) {
   FractionBounds bounds;
-  if (size > 0) {
-    bounds.min_fraction = static_cast<double>(hb_min) / size;
-    bounds.max_fraction = static_cast<double>(hb_max) / size;
+  if (state.size > 0) {
+    bounds.min_fraction = static_cast<double>(state.hb_min[i]) / state.size;
+    bounds.max_fraction = static_cast<double>(state.hb_max[i]) / state.size;
   }
   return bounds;
-}
-
-}  // namespace
-
-FractionBounds ToFractionBounds(const RuleState& state) {
-  return Fractions(state.hb_min, state.hb_max, state.size);
-}
-
-FractionBounds ToFractionBounds(const AllBinRuleState& state, BinIndex bin) {
-  const size_t i = static_cast<size_t>(bin);
-  return Fractions(state.hb_min[i], state.hb_max[i], state.size);
-}
-
-Result<FractionBounds> ComputeBounds(const RuleEngine& engine,
-                                     const EditScript& script, BinIndex hb,
-                                     int64_t base_hb_count,
-                                     int32_t base_width, int32_t base_height,
-                                     const TargetBoundsResolver& resolver,
-                                     CancelCheck* check) {
-  MMDB_ASSIGN_OR_RETURN(
-      RuleState state,
-      ComputeRuleState(engine, script, hb, base_hb_count, base_width,
-                       base_height, resolver, check));
-  return ToFractionBounds(state);
 }
 
 }  // namespace mmdb

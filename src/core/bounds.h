@@ -24,56 +24,29 @@ struct FractionBounds {
   }
 };
 
-/// The BOUNDS algorithm: computes fraction bounds for histogram bin `hb`
-/// of the edited image described by `script`, by folding the Table 1
-/// rules over every operation. Requires the referenced base image's exact
-/// bin count and dimensions (both read from the catalog, never from
-/// pixels).
+/// The BOUNDS algorithm: folds the Table 1 rules over every operation of
+/// `script` for each bin in `bins`, leaving in `state` the bounds on the
+/// i-th requested bin (in pixels) with the exact size, dimensions and
+/// Defined Region. A bin may be requested more than once. Range and
+/// conjunctive queries fold their conjuncts' bins; top-k folds every bin.
+/// Starts from the referenced base image's exact count per bin
+/// (`base_counts[b]` for bin b) and dimensions, both read from the
+/// catalog, never from pixels. `state`'s buffers are reused.
 ///
-/// `resolver` is consulted only for Merge operations with non-null
-/// targets.
-///
-/// A non-null `check` is consulted between operations, so a long edit
-/// script honors deadlines and cancellation mid-walk (the interrupt
-/// status propagates out like any rule error).
-Result<FractionBounds> ComputeBounds(const RuleEngine& engine,
-                                     const EditScript& script, BinIndex hb,
-                                     int64_t base_hb_count,
-                                     int32_t base_width, int32_t base_height,
-                                     const TargetBoundsResolver& resolver,
-                                     CancelCheck* check = nullptr);
+/// `resolver` (null for none) is consulted once per Merge with a non-null
+/// target, over the same bins. A non-null `check` is consulted before
+/// every operation, so a long edit script honors deadlines and
+/// cancellation mid-walk (the interrupt status propagates out like any
+/// rule error).
+Status FoldRules(const RuleEngine& engine, const EditScript& script,
+                 const std::vector<BinIndex>& bins,
+                 const std::vector<int64_t>& base_counts, int32_t base_width,
+                 int32_t base_height, const MergeTargetResolver* resolver,
+                 RuleState* state, CancelCheck* check = nullptr);
 
-/// As `ComputeBounds`, but returns the final raw rule state (pixel-count
-/// bounds, exact size and dimensions) for callers that need more than the
-/// fractions (e.g. the recursive merge-target resolver).
-Result<RuleState> ComputeRuleState(const RuleEngine& engine,
-                                   const EditScript& script, BinIndex hb,
-                                   int64_t base_hb_count, int32_t base_width,
-                                   int32_t base_height,
-                                   const TargetBoundsResolver& resolver,
-                                   CancelCheck* check = nullptr);
-
-/// The all-bin fold: the final rule state of every histogram bin from
-/// one walk over `script` (`RuleEngine::ApplyRuleToAllBins` per
-/// operation). Bin b of the result equals `ComputeRuleState` for bin b,
-/// and the two folds fail with the same status. `base_counts` holds the
-/// referenced base image's exact count per bin.
-///
-/// `resolver` is consulted once per Merge with a non-null target. A
-/// non-null `check` is consulted before every operation.
-Result<AllBinRuleState> ComputeAllBinRuleState(
-    const RuleEngine& engine, const EditScript& script,
-    const std::vector<int64_t>& base_counts, int32_t base_width,
-    int32_t base_height, const AllBinTargetResolver& resolver,
-    CancelCheck* check = nullptr);
-
-/// Converts a final rule state to fraction bounds ([0, 0] for an empty
-/// image).
-FractionBounds ToFractionBounds(const RuleState& state);
-
-/// Fraction bounds of bin `bin` of an all-bin state; the same arithmetic
-/// as the one-bin overload.
-FractionBounds ToFractionBounds(const AllBinRuleState& state, BinIndex bin);
+/// Fraction bounds of the i-th requested bin of a final rule state
+/// ([0, 0] for an empty image).
+FractionBounds ToFractionBounds(const RuleState& state, size_t i);
 
 }  // namespace mmdb
 

@@ -1,8 +1,6 @@
 #include "core/collection.h"
 
 #include <algorithm>
-#include <memory>
-#include <set>
 
 #include "core/bounds.h"
 
@@ -92,105 +90,42 @@ const std::vector<ObjectId>& AugmentedCollection::EditedOf(
   return it == base_to_edited_.end() ? kEmpty : it->second;
 }
 
-TargetBoundsResolver AugmentedCollection::MakeTargetResolver(
-    const RuleEngine& engine) const {
-  // The in-flight set detects cycles: an edited image whose Merge target
-  // (transitively) references itself is rejected rather than looping.
-  // Recursion goes through the ResolveTargetBounds member, not a
-  // self-capturing std::function, which would own itself and leak.
-  auto in_flight = std::make_shared<std::set<ObjectId>>();
-  return [this, &engine, in_flight](ObjectId id, BinIndex hb) {
-    return ResolveTargetBounds(engine, id, hb, in_flight.get());
-  };
-}
-
-AllBinTargetResolver AugmentedCollection::MakeAllBinTargetResolver(
-    const RuleEngine& engine) const {
-  auto in_flight = std::make_shared<std::set<ObjectId>>();
-  return [this, &engine, in_flight](ObjectId id) {
-    return ResolveAllBinTarget(engine, id, in_flight.get());
-  };
-}
-
-template <typename Bounds, typename FromBinary, typename FromEdited>
-Result<Bounds> AugmentedCollection::ResolveTarget(
-    ObjectId id, std::set<ObjectId>* in_flight, const FromBinary& from_binary,
-    const FromEdited& from_edited) const {
-  if (const BinaryImageInfo* binary = FindBinary(id)) {
-    return from_binary(*binary);
+Result<const RuleState*> CollectionTargetResolver::Resolve(
+    ObjectId id, const std::vector<BinIndex>& bins) const {
+  if (resolved_.size() <= in_flight_.size()) resolved_.emplace_back();
+  RuleState* out = &resolved_[in_flight_.size()];
+  if (const BinaryImageInfo* binary = collection_.FindBinary(id)) {
+    static_cast<RuleGeometry&>(*out) =
+        RuleGeometry::Full(binary->width, binary->height);
+    out->size = binary->histogram.Total();
+    out->hb_min.resize(bins.size());
+    for (size_t i = 0; i < bins.size(); ++i) {
+      out->hb_min[i] = binary->histogram.Count(bins[i]);
+    }
+    out->hb_max = out->hb_min;
+    return out;
   }
-  const EditedImageInfo* edited = FindEdited(id);
+  const EditedImageInfo* edited = collection_.FindEdited(id);
   if (edited == nullptr) {
     return Status::NotFound("merge target " + std::to_string(id));
   }
-  if (!in_flight->insert(id).second) {
+  if (std::find(in_flight_.begin(), in_flight_.end(), id) !=
+      in_flight_.end()) {
     return Status::InvalidArgument("merge target cycle through object " +
                                    std::to_string(id));
   }
-  const BinaryImageInfo* base = FindBinary(edited->script.base_id);
+  const BinaryImageInfo* base = collection_.FindBinary(edited->script.base_id);
   if (base == nullptr) {
-    in_flight->erase(id);
     return Status::NotFound("base image of merge target " +
                             std::to_string(id));
   }
-  Result<Bounds> out = from_edited(*edited, *base);
-  in_flight->erase(id);
+  in_flight_.push_back(id);
+  const Status folded =
+      FoldRules(engine_, edited->script, bins, base->histogram.counts(),
+                base->width, base->height, this, out);
+  in_flight_.pop_back();
+  MMDB_RETURN_IF_ERROR(folded);
   return out;
-}
-
-Result<TargetBounds> AugmentedCollection::ResolveTargetBounds(
-    const RuleEngine& engine, ObjectId id, BinIndex hb,
-    std::set<ObjectId>* in_flight) const {
-  return ResolveTarget<TargetBounds>(
-      id, in_flight,
-      [hb](const BinaryImageInfo& binary) -> Result<TargetBounds> {
-        TargetBounds out;
-        out.hb_min = out.hb_max = binary.histogram.Count(hb);
-        out.size = binary.histogram.Total();
-        out.width = binary.width;
-        out.height = binary.height;
-        return out;
-      },
-      [&](const EditedImageInfo& edited,
-          const BinaryImageInfo& base) -> Result<TargetBounds> {
-        MMDB_ASSIGN_OR_RETURN(
-            RuleState state,
-            ComputeRuleState(engine, edited.script, hb,
-                             base.histogram.Count(hb), base.width,
-                             base.height, [&](ObjectId target, BinIndex bin) {
-                               return ResolveTargetBounds(engine, target, bin,
-                                                          in_flight);
-                             }));
-        TargetBounds out;
-        out.hb_min = state.hb_min;
-        out.hb_max = state.hb_max;
-        out.size = state.size;
-        out.width = state.width;
-        out.height = state.height;
-        return out;
-      });
-}
-
-Result<AllBinRuleState> AugmentedCollection::ResolveAllBinTarget(
-    const RuleEngine& engine, ObjectId id,
-    std::set<ObjectId>* in_flight) const {
-  return ResolveTarget<AllBinRuleState>(
-      id, in_flight,
-      [](const BinaryImageInfo& binary) -> Result<AllBinRuleState> {
-        AllBinRuleState out;
-        out.hb_min = out.hb_max = binary.histogram.counts();
-        out.size = binary.histogram.Total();
-        out.width = binary.width;
-        out.height = binary.height;
-        return out;
-      },
-      [&](const EditedImageInfo& edited, const BinaryImageInfo& base) {
-        return ComputeAllBinRuleState(
-            engine, edited.script, base.histogram.counts(), base.width,
-            base.height, [&](ObjectId target) {
-              return ResolveAllBinTarget(engine, target, in_flight);
-            });
-      });
 }
 
 }  // namespace mmdb

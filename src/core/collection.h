@@ -1,7 +1,7 @@
 #ifndef MMDB_CORE_COLLECTION_H_
 #define MMDB_CORE_COLLECTION_H_
 
-#include <set>
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -69,37 +69,7 @@ class AugmentedCollection {
   size_t BinaryCount() const { return binary_order_.size(); }
   size_t EditedCount() const { return edited_order_.size(); }
 
-  /// Builds the resolver the rule engine uses for Merge targets: a binary
-  /// target yields its exact stored bin count; an edited target recurses
-  /// through the rules (with cycle protection).
-  TargetBoundsResolver MakeTargetResolver(const RuleEngine& engine) const;
-
-  /// The all-bin counterpart of `MakeTargetResolver`, for
-  /// `ComputeAllBinRuleState`: a binary target yields its stored
-  /// histogram; an edited target runs one all-bin fold. Its cycle guard
-  /// and error statuses are those of `MakeTargetResolver`.
-  AllBinTargetResolver MakeAllBinTargetResolver(
-      const RuleEngine& engine) const;
-
  private:
-  /// The resolution both resolvers share: a binary target goes to
-  /// `from_binary(info)`, an edited one to `from_edited(info, base)`
-  /// while `in_flight` guards against merge-target cycles.
-  template <typename Bounds, typename FromBinary, typename FromEdited>
-  Result<Bounds> ResolveTarget(ObjectId id, std::set<ObjectId>* in_flight,
-                               const FromBinary& from_binary,
-                               const FromEdited& from_edited) const;
-
-  /// Recursive target resolution behind `MakeTargetResolver`.
-  Result<TargetBounds> ResolveTargetBounds(const RuleEngine& engine,
-                                           ObjectId id, BinIndex hb,
-                                           std::set<ObjectId>* in_flight) const;
-
-  /// Recursive target resolution behind `MakeAllBinTargetResolver`.
-  Result<AllBinRuleState> ResolveAllBinTarget(
-      const RuleEngine& engine, ObjectId id,
-      std::set<ObjectId>* in_flight) const;
-
   // Hashed by id: nothing needs key order (the *_order_ vectors give
   // insertion order), and elements stay put across a rehash.
   std::unordered_map<ObjectId, BinaryImageInfo> binaries_;
@@ -107,6 +77,31 @@ class AugmentedCollection {
   std::unordered_map<ObjectId, std::vector<ObjectId>> base_to_edited_;
   std::vector<ObjectId> binary_order_;
   std::vector<ObjectId> edited_order_;
+};
+
+/// The resolver the rule engine uses for Merge targets in `collection`: a
+/// binary target yields its exact stored counts for the requested bins;
+/// an edited target folds the rules over the same bins, recursing through
+/// this resolver. A merge-target cycle is rejected rather than looping.
+/// The cycle guard is per instance, so use one resolver per thread; the
+/// collection and the engine must outlive it.
+class CollectionTargetResolver final : public MergeTargetResolver {
+ public:
+  CollectionTargetResolver(const AugmentedCollection& collection,
+                           const RuleEngine& engine)
+      : collection_(collection), engine_(engine) {}
+
+  Result<const RuleState*> Resolve(
+      ObjectId target, const std::vector<BinIndex>& bins) const override;
+
+ private:
+  const AugmentedCollection& collection_;
+  const RuleEngine& engine_;
+  /// Edited targets being resolved, outermost first.
+  mutable std::vector<ObjectId> in_flight_;
+  /// The state handed out at each nesting depth, reused across calls; a
+  /// deque, so a deeper level never moves a shallower one.
+  mutable std::deque<RuleState> resolved_;
 };
 
 }  // namespace mmdb

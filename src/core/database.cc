@@ -400,11 +400,6 @@ Result<Image> MultimediaDatabase::GetImage(ObjectId id) const {
   return MakePixelResolver()(id);
 }
 
-Result<QueryResult> MultimediaDatabase::RunRange(const RangeQuery& query,
-                                                 QueryMethod method) const {
-  return RunRange(query, method, QueryContext{});
-}
-
 Result<QueryResult> MultimediaDatabase::RunRange(
     const RangeQuery& query, QueryMethod method,
     const QueryContext& ctx) const {
@@ -413,19 +408,9 @@ Result<QueryResult> MultimediaDatabase::RunRange(
 }
 
 Result<QueryResult> MultimediaDatabase::RunConjunctive(
-    const ConjunctiveQuery& query, QueryMethod method) const {
-  return RunConjunctive(query, method, QueryContext{});
-}
-
-Result<QueryResult> MultimediaDatabase::RunConjunctive(
     const ConjunctiveQuery& query, QueryMethod method,
     const QueryContext& ctx) const {
   return RunScan(*this, query, method, QueryKind::kConjunctive, ctx);
-}
-
-Result<QueryResult> MultimediaDatabase::RunSimilarity(
-    const SimilarityQuery& query) const {
-  return RunSimilarity(query, QueryContext{});
 }
 
 Result<QueryResult> MultimediaDatabase::RunSimilarity(

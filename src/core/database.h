@@ -143,38 +143,31 @@ class MultimediaDatabase {
   /// Answers a color range query with the chosen method. All three
   /// methods agree on binary images; kRbm and kBwm return identical
   /// result sets, a superset of kInstantiate's (no false negatives).
-  Result<QueryResult> RunRange(const RangeQuery& query,
-                               QueryMethod method) const;
-
-  /// As above, under `ctx`'s limits (deadline, cancel tokens): the
-  /// processor checks cooperatively and returns DeadlineExceeded /
-  /// Cancelled with partial progress in `ctx.interrupt` when one trips.
-  /// The context is also published thread-locally (`CancelScope`) so the
-  /// storage read path honors it per page.
+  ///
+  /// Runs under `ctx`'s limits (deadline, cancel tokens; none by
+  /// default): the processor checks cooperatively and returns
+  /// DeadlineExceeded / Cancelled with partial progress in
+  /// `ctx.interrupt` when one trips. The context is also published
+  /// thread-locally (`CancelScope`) so the storage read path honors it
+  /// per page.
   Result<QueryResult> RunRange(const RangeQuery& query, QueryMethod method,
-                               const QueryContext& ctx) const;
+                               const QueryContext& ctx = {}) const;
 
   /// Answers a conjunction of range predicates ("at least 25% blue AND
-  /// at most 10% red") with the chosen method; same cross-method
-  /// guarantees as `RunRange`.
-  Result<QueryResult> RunConjunctive(const ConjunctiveQuery& query,
-                                     QueryMethod method) const;
-
-  /// Conjunctive variant under `ctx`'s limits.
+  /// at most 10% red") with the chosen method, under `ctx`'s limits;
+  /// same cross-method guarantees as `RunRange`.
   Result<QueryResult> RunConjunctive(const ConjunctiveQuery& query,
                                      QueryMethod method,
-                                     const QueryContext& ctx) const;
+                                     const QueryContext& ctx = {}) const;
 
-  /// Answers a top-k nearest-histogram query: exact L1 distances for
-  /// binary images, provable `[distance_lo, distance_hi]` intervals for
-  /// edited ones (no instantiation), returning the candidate set that
-  /// provably contains the true k nearest — in `QueryResult::matches`,
-  /// with `ids` mirroring the match order.
-  Result<QueryResult> RunSimilarity(const SimilarityQuery& query) const;
-
-  /// Similarity variant under `ctx`'s limits.
+  /// Answers a top-k nearest-histogram query under `ctx`'s limits: exact
+  /// L1 distances for binary images, provable `[distance_lo,
+  /// distance_hi]` intervals for edited ones (no instantiation),
+  /// returning the candidate set that provably contains the true k
+  /// nearest — in `QueryResult::matches`, with `ids` mirroring the match
+  /// order.
   Result<QueryResult> RunSimilarity(const SimilarityQuery& query,
-                                    const QueryContext& ctx) const;
+                                    const QueryContext& ctx = {}) const;
 
   /// Builds a fresh `QueryProcessor` for `method` (`RunRange` /
   /// `RunConjunctive` dispatch through this). kRbm, kBwm, kBwmIndexed and

@@ -16,7 +16,7 @@ static_assert(std::has_single_bit(kScaleBracketSlots),
 /// The bin-independent half of one rule application (`Plan`): the
 /// geometry after the operation plus the parameters of its per-bin count
 /// update (`UpdateBin`). A fold plans each operation once and applies the
-/// update to one bin or to every bin.
+/// update to each requested bin.
 struct RuleStep {
   enum class Update {
     kNone,         // Define; a no-op or paper-strict Combine.
@@ -104,9 +104,9 @@ Status NoTargetResolver(ObjectId target) {
       "Merge rule: no target resolver for target " + std::to_string(target));
 }
 
-/// Table 1's count updates, one bin at a time: the only copy, called by
-/// the one-bin and the all-bin application alike. `target_min` and
-/// `target_max` bound the Merge target's bin `hb` (read by kPaste only).
+/// Table 1's count updates, one bin at a time: the only copy, called once
+/// per requested bin. `target_min` and `target_max` bound the Merge
+/// target's bin `hb` (read by kPaste only).
 void UpdateBin(const RuleStep& step, BinIndex hb, int64_t target_min,
                int64_t target_max, int64_t* hb_min, int64_t* hb_max) {
   const int64_t size = step.after.size;
@@ -298,70 +298,36 @@ bool RuleEngine::IsAllBoundWidening(const EditScript& script) {
   return true;
 }
 
-RuleState RuleEngine::InitialState(int64_t hb_count, int32_t width,
-                                   int32_t height) {
+RuleState RuleEngine::InitialState(const std::vector<int64_t>& hb_counts,
+                                   int32_t width, int32_t height) {
   RuleState state;
   static_cast<RuleGeometry&>(state) = RuleGeometry::Full(width, height);
-  state.hb_min = hb_count;
-  state.hb_max = hb_count;
+  state.hb_min.assign(hb_counts.begin(), hb_counts.end());
+  state.hb_max = state.hb_min;
   return state;
 }
 
-AllBinRuleState RuleEngine::InitialAllBinState(
-    const std::vector<int64_t>& counts, int32_t width, int32_t height) {
-  AllBinRuleState state;
-  static_cast<RuleGeometry&>(state) = RuleGeometry::Full(width, height);
-  state.hb_min = counts;
-  state.hb_max = counts;
-  return state;
-}
-
-Status RuleEngine::ApplyRule(const EditOp& op, BinIndex hb,
-                             const TargetBoundsResolver& resolver,
+Status RuleEngine::ApplyRule(const EditOp& op,
+                             const std::vector<BinIndex>& bins,
+                             const MergeTargetResolver* resolver,
                              RuleState* state) const {
-  TargetBounds target;
+  const RuleState* target = nullptr;
   if (const ObjectId* target_id = MergeTargetOf(op)) {
-    if (!resolver) return NoTargetResolver(*target_id);
-    MMDB_ASSIGN_OR_RETURN(target, resolver(*target_id, hb));
+    if (resolver == nullptr) return NoTargetResolver(*target_id);
+    MMDB_ASSIGN_OR_RETURN(target, resolver->Resolve(*target_id, bins));
   }
-  RuleGeometry target_canvas;
-  target_canvas.size = target.size;
-  target_canvas.width = target.width;
-  target_canvas.height = target.height;
+  const RuleGeometry no_target;
   const RuleStep step =
-      Plan(op, *state, target_canvas, quantizer_, options_.paper_strict);
-  UpdateBin(step, hb, target.hb_min, target.hb_max, &state->hb_min,
-            &state->hb_max);
-  static_cast<RuleGeometry&>(*state) = step.after;
-  return Status::OK();
-}
-
-Status RuleEngine::ApplyRuleToAllBins(const EditOp& op,
-                                      const AllBinTargetResolver& resolver,
-                                      AllBinRuleState* state) const {
-  const size_t bins = state->hb_min.size();
-  AllBinRuleState target;
-  if (const ObjectId* target_id = MergeTargetOf(op)) {
-    if (!resolver) return NoTargetResolver(*target_id);
-    MMDB_ASSIGN_OR_RETURN(target, resolver(*target_id));
-    if (target.hb_min.size() != bins) {
-      return Status::InvalidArgument(
-          "merge target " + std::to_string(*target_id) + " has " +
-          std::to_string(target.hb_min.size()) + " bins; expected " +
-          std::to_string(bins));
-    }
-  }
-  const RuleStep step =
-      Plan(op, *state, target, quantizer_, options_.paper_strict);
+      Plan(op, *state, target != nullptr ? *target : no_target, quantizer_,
+           options_.paper_strict);
   if (step.update == RuleStep::Update::kPaste) {
-    for (size_t bin = 0; bin < bins; ++bin) {
-      UpdateBin(step, static_cast<BinIndex>(bin), target.hb_min[bin],
-                target.hb_max[bin], &state->hb_min[bin], &state->hb_max[bin]);
+    for (size_t i = 0; i < bins.size(); ++i) {
+      UpdateBin(step, bins[i], target->hb_min[i], target->hb_max[i],
+                &state->hb_min[i], &state->hb_max[i]);
     }
   } else if (step.update != RuleStep::Update::kNone) {
-    for (size_t bin = 0; bin < bins; ++bin) {
-      UpdateBin(step, static_cast<BinIndex>(bin), 0, 0, &state->hb_min[bin],
-                &state->hb_max[bin]);
+    for (size_t i = 0; i < bins.size(); ++i) {
+      UpdateBin(step, bins[i], 0, 0, &state->hb_min[i], &state->hb_max[i]);
     }
   }
   static_cast<RuleGeometry&>(*state) = step.after;

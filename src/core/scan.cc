@@ -8,9 +8,7 @@ namespace mmdb {
 
 EditedImageBounder::EditedImageBounder(const AugmentedCollection& collection,
                                        const RuleEngine& engine)
-    : collection_(collection),
-      engine_(engine),
-      resolver_(collection.MakeTargetResolver(engine)) {}
+    : collection_(collection), engine_(engine), resolver_(collection, engine) {}
 
 Status EditedImageBounder::Bound(const EditedImageInfo& edited,
                                  const std::vector<RangeQuery>& conjuncts,
@@ -21,18 +19,21 @@ Status EditedImageBounder::Bound(const EditedImageInfo& edited,
                               " references missing base");
   }
   bool candidate = true;
-  for (const RangeQuery& conjunct : conjuncts) {
-    MMDB_ASSIGN_OR_RETURN(
-        FractionBounds bounds,
-        ComputeBounds(engine_, edited.script, conjunct.bin,
-                      base->histogram.Count(conjunct.bin), base->width,
-                      base->height, resolver_, check));
-    out->stats.rules_applied += static_cast<int64_t>(edited.script.ops.size());
-    if (!bounds.Overlaps(conjunct.min_fraction, conjunct.max_fraction)) {
-      candidate = false;
-      break;
+  size_t tried = 0;
+  if (!conjuncts.empty()) {
+    bins_.clear();
+    for (const RangeQuery& conjunct : conjuncts) bins_.push_back(conjunct.bin);
+    MMDB_RETURN_IF_ERROR(FoldRules(engine_, edited.script, bins_,
+                                   base->histogram.counts(), base->width,
+                                   base->height, &resolver_, &state_, check));
+    while (candidate && tried < conjuncts.size()) {
+      const RangeQuery& conjunct = conjuncts[tried];
+      candidate = ToFractionBounds(state_, tried++)
+                      .Overlaps(conjunct.min_fraction, conjunct.max_fraction);
     }
   }
+  out->stats.rules_applied +=
+      static_cast<int64_t>(edited.script.ops.size() * tried);
   ++out->stats.edited_images_bounded;
   if (candidate) out->ids.push_back(edited.id);
   return Status::OK();
@@ -161,7 +162,7 @@ Status ScanQueryProcessor::BoundChunked(const std::vector<ObjectId>& loose,
   };
   std::vector<Chunk> chunks(chunk_count);
   settings_.chunks->ParallelFor(chunk_count, [&](size_t w) {
-    // Neither the resolver's cycle state nor the check's stride
+    // Neither the bounder's cycle and walk state nor the check's stride
     // countdown is shareable across threads, so each chunk owns both.
     const EditedImageBounder bounder(*collection_, *engine_);
     CancelCheck check(ctx);

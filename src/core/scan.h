@@ -18,24 +18,28 @@
 namespace mmdb {
 
 /// The per-edited-image step of the paper's Fig. 2 (steps 4.3 and 5),
-/// written once: folds the Table 1 rules over the image's script for
-/// each conjunct in turn, stopping at the first whose bounds miss its
-/// range; counts `edited_images_bounded` and `rules_applied`; and keeps
-/// the id when every conjunct's bounds overlap. An image is dropped only
-/// when some conjunct provably fails, so there are no false negatives.
-/// The scan kernel calls it for every edited image it does not accept
-/// wholesale, and the planner calls it for its residual conjuncts.
+/// written once: folds the Table 1 rules over the image's script once
+/// for every conjunct's bin, then tests the conjuncts in order, stopping
+/// at the first whose bounds miss its range; counts
+/// `edited_images_bounded` and `rules_applied`; and keeps the id when
+/// every conjunct's bounds overlap. An image is dropped only when some
+/// conjunct provably fails, so there are no false negatives. The scan
+/// kernel calls it for every edited image it does not accept wholesale,
+/// and the planner calls it for its residual conjuncts.
 class EditedImageBounder {
  public:
   /// Both referents must outlive the bounder. The bounder owns a
   /// Merge-target resolver whose cycle-detection state is per instance,
-  /// so use one bounder per thread.
+  /// and the state its walks reuse, so use one bounder per thread.
   EditedImageBounder(const AugmentedCollection& collection,
                      const RuleEngine& engine);
 
   /// Bounds `edited` against `conjuncts`, adding its work counters to
-  /// `out->stats` and its id to `out->ids` when it may match. `check`
-  /// (null for none) is consulted before every rule application.
+  /// `out->stats` and its id to `out->ids` when it may match.
+  /// `rules_applied` grows by the script's length times the conjuncts
+  /// tested, up to and including the first that fails: what a walk per
+  /// conjunct would count. `check` (null for none) is consulted before
+  /// every operation.
   Status Bound(const EditedImageInfo& edited,
                const std::vector<RangeQuery>& conjuncts, CancelCheck* check,
                QueryResult* out) const;
@@ -43,7 +47,10 @@ class EditedImageBounder {
  private:
   const AugmentedCollection& collection_;
   const RuleEngine& engine_;
-  const TargetBoundsResolver resolver_;
+  const CollectionTargetResolver resolver_;
+  /// Reused by every walk: the conjuncts' bins and their rule state.
+  mutable std::vector<BinIndex> bins_;
+  mutable RuleState state_;
 };
 
 /// Whether a clustered scan with a `ScanSettings::probe` answers the

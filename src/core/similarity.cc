@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "core/bounds.h"
 
@@ -14,6 +15,13 @@ namespace {
 bool ByOptimistic(const SimilarityMatch& a, const SimilarityMatch& b) {
   if (a.distance_lo != b.distance_lo) return a.distance_lo < b.distance_lo;
   return a.id < b.id;
+}
+
+/// Bins 0 .. count-1: the bins top-k folds.
+std::vector<BinIndex> AllBins(BinIndex count) {
+  std::vector<BinIndex> bins(static_cast<size_t>(count));
+  std::iota(bins.begin(), bins.end(), BinIndex{0});
+  return bins;
 }
 
 }  // namespace
@@ -45,7 +53,8 @@ SimilaritySearcher::SimilaritySearcher(const AugmentedCollection* collection,
                                        const RuleEngine* engine)
     : collection_(collection),
       engine_(engine),
-      resolver_(collection->MakeAllBinTargetResolver(*engine)) {}
+      resolver_(*collection, *engine),
+      all_bins_(AllBins(engine->quantizer().BinCount())) {}
 
 Result<std::pair<std::vector<double>, std::vector<double>>>
 SimilaritySearcher::AllBinBounds(const EditedImageInfo& info,
@@ -55,18 +64,15 @@ SimilaritySearcher::AllBinBounds(const EditedImageInfo& info,
     return Status::Corruption("edited image " + std::to_string(info.id) +
                               " references missing base");
   }
-  MMDB_ASSIGN_OR_RETURN(
-      AllBinRuleState state,
-      ComputeAllBinRuleState(*engine_, info.script, base->histogram.counts(),
-                             base->width, base->height, resolver_, check));
-  const size_t bins = state.hb_min.size();
-  std::vector<double> lo(bins);
-  std::vector<double> hi(bins);
-  for (size_t bin = 0; bin < bins; ++bin) {
-    const FractionBounds bounds =
-        ToFractionBounds(state, static_cast<BinIndex>(bin));
-    lo[bin] = bounds.min_fraction;
-    hi[bin] = bounds.max_fraction;
+  MMDB_RETURN_IF_ERROR(FoldRules(*engine_, info.script, all_bins_,
+                                 base->histogram.counts(), base->width,
+                                 base->height, &resolver_, &state_, check));
+  std::vector<double> lo(all_bins_.size());
+  std::vector<double> hi(all_bins_.size());
+  for (size_t i = 0; i < all_bins_.size(); ++i) {
+    const FractionBounds bounds = ToFractionBounds(state_, i);
+    lo[i] = bounds.min_fraction;
+    hi[i] = bounds.max_fraction;
   }
   return std::make_pair(std::move(lo), std::move(hi));
 }

@@ -26,21 +26,24 @@ std::vector<SimilarityMatch> TopKCandidates(
 ///
 /// Binary images are ranked by exact L1 histogram distance. For edited
 /// images the searcher folds the Table 1 rules once over the script for
-/// all histogram bins together (`ComputeAllBinRuleState`) to get per-bin
-/// fraction intervals, then derives a provable interval
+/// every histogram bin together (`FoldRules`) to get per-bin fraction
+/// intervals, then derives a provable interval
 /// [distance_lo, distance_hi] on the L1 distance. The k-NN result is the
 /// candidate set that provably contains the true k nearest images:
 /// every image whose optimistic distance does not exceed the k-th best
 /// guaranteed distance.
+///
+/// A searcher owns a Merge-target resolver and the fold's state, both
+/// reused across images, so use one searcher per thread.
 class SimilaritySearcher {
  public:
   /// Referents must outlive the searcher.
   SimilaritySearcher(const AugmentedCollection* collection,
                      const RuleEngine* engine);
 
-  /// Per-bin fraction intervals for an edited image: one all-bin fold,
-  /// equal bin for bin to a BOUNDS fold per bin. A non-null `check` is
-  /// consulted before every operation.
+  /// Per-bin fraction intervals for an edited image: one fold over every
+  /// bin, equal bin for bin to a fold over that bin alone. A non-null
+  /// `check` is consulted before every operation.
   Result<std::pair<std::vector<double>, std::vector<double>>> AllBinBounds(
       const EditedImageInfo& info, CancelCheck* check = nullptr) const;
 
@@ -85,7 +88,10 @@ class SimilaritySearcher {
 
   const AugmentedCollection* collection_;
   const RuleEngine* engine_;
-  AllBinTargetResolver resolver_;
+  const CollectionTargetResolver resolver_;
+  /// Every bin of the engine's quantizer, in order.
+  const std::vector<BinIndex> all_bins_;
+  mutable RuleState state_;
 };
 
 }  // namespace mmdb

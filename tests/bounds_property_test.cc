@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <string>
 #include <thread>
 
 #include "core/bounds.h"
 #include "core/collection.h"
 #include "core/histogram.h"
+#include "core/scan.h"
 #include "image/editor.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -60,8 +62,7 @@ TEST_P(BoundsSoundness, RuleBoundsContainExactCounts) {
   Rng rng(GetParam());
   Universe u = MakeUniverse(rng);
   const RuleEngine engine(u.quantizer);
-  const TargetBoundsResolver target_resolver =
-      u.collection.MakeTargetResolver(engine);
+  const CollectionTargetResolver target_resolver(u.collection, engine);
   const Editor editor(u.Resolver());
 
   for (int trial = 0; trial < 8; ++trial) {
@@ -79,18 +80,19 @@ TEST_P(BoundsSoundness, RuleBoundsContainExactCounts) {
         ExtractHistogram(*instantiated, u.quantizer);
 
     for (BinIndex bin = 0; bin < u.quantizer.BinCount(); ++bin) {
-      Result<RuleState> state = ComputeRuleState(
-          engine, script, bin, base->histogram.Count(bin), base->width,
-          base->height, target_resolver);
-      ASSERT_TRUE(state.ok()) << state.status().ToString();
+      RuleState state;
+      const Status folded =
+          FoldRules(engine, script, {bin}, base->histogram.counts(),
+                    base->width, base->height, &target_resolver, &state);
+      ASSERT_TRUE(folded.ok()) << folded.ToString();
       // Exact structural tracking:
-      EXPECT_EQ(state->width, instantiated->width()) << script.ToString();
-      EXPECT_EQ(state->height, instantiated->height()) << script.ToString();
-      EXPECT_EQ(state->size, instantiated->PixelCount());
+      EXPECT_EQ(state.width, instantiated->width()) << script.ToString();
+      EXPECT_EQ(state.height, instantiated->height()) << script.ToString();
+      EXPECT_EQ(state.size, instantiated->PixelCount());
       // Soundness:
-      EXPECT_LE(state->hb_min, exact.Count(bin))
+      EXPECT_LE(state.hb_min[0], exact.Count(bin))
           << "bin " << bin << "\n" << script.ToString();
-      EXPECT_GE(state->hb_max, exact.Count(bin))
+      EXPECT_GE(state.hb_max[0], exact.Count(bin))
           << "bin " << bin << "\n" << script.ToString();
     }
   }
@@ -108,8 +110,7 @@ TEST_P(WideningProperty, WideningRulesOnlyWidenFractionRange) {
   Rng rng(GetParam());
   Universe u = MakeUniverse(rng);
   const RuleEngine engine(u.quantizer);
-  const TargetBoundsResolver target_resolver =
-      u.collection.MakeTargetResolver(engine);
+  const CollectionTargetResolver target_resolver(u.collection, engine);
 
   for (int trial = 0; trial < 10; ++trial) {
     const ObjectId base_id = u.targets[rng.Uniform(u.targets.size())].id;
@@ -122,11 +123,12 @@ TEST_P(WideningProperty, WideningRulesOnlyWidenFractionRange) {
 
     for (BinIndex bin : {0, 21, 42, 63}) {
       RuleState state = RuleEngine::InitialState(
-          base->histogram.Count(bin), base->width, base->height);
-      FractionBounds prev = ToFractionBounds(state);
+          {base->histogram.Count(bin)}, base->width, base->height);
+      FractionBounds prev = ToFractionBounds(state, 0);
       for (const EditOp& op : script.ops) {
-        ASSERT_TRUE(engine.ApplyRule(op, bin, target_resolver, &state).ok());
-        const FractionBounds next = ToFractionBounds(state);
+        ASSERT_TRUE(
+            engine.ApplyRule(op, {bin}, &target_resolver, &state).ok());
+        const FractionBounds next = ToFractionBounds(state, 0);
         EXPECT_LE(next.min_fraction, prev.min_fraction + 1e-12)
             << EditOpToString(op);
         EXPECT_GE(next.max_fraction, prev.max_fraction - 1e-12)
@@ -172,12 +174,12 @@ TEST(BoundsTest, MergeTargetCycleIsRejected) {
   ASSERT_TRUE(collection.AddEdited(edited).ok());
 
   const RuleEngine engine(quantizer);
-  const TargetBoundsResolver resolver =
-      collection.MakeTargetResolver(engine);
-  Result<FractionBounds> bounds =
-      ComputeBounds(engine, edited.script, 0, 16, 4, 4, resolver);
-  EXPECT_FALSE(bounds.ok());
-  EXPECT_EQ(bounds.status().code(), StatusCode::kInvalidArgument);
+  const CollectionTargetResolver resolver(collection, engine);
+  RuleState state;
+  const Status folded =
+      FoldRules(engine, edited.script, {0}, {16}, 4, 4, &resolver, &state);
+  EXPECT_FALSE(folded.ok());
+  EXPECT_EQ(folded.code(), StatusCode::kInvalidArgument);
 }
 
 /// White-box lockstep check: the rule engine's structural tracking
@@ -191,8 +193,7 @@ TEST_P(StructuralLockstep, EditorAndRulesAgreeAfterEveryOp) {
   Rng rng(GetParam());
   Universe u = MakeUniverse(rng);
   const RuleEngine engine(u.quantizer);
-  const TargetBoundsResolver target_resolver =
-      u.collection.MakeTargetResolver(engine);
+  const CollectionTargetResolver target_resolver(u.collection, engine);
   const Editor editor(u.Resolver());
 
   for (int trial = 0; trial < 6; ++trial) {
@@ -205,12 +206,12 @@ TEST_P(StructuralLockstep, EditorAndRulesAgreeAfterEveryOp) {
     Editor::State editor_state =
         Editor::InitialState(u.pixels.at(base_id));
     RuleState rule_state = RuleEngine::InitialState(
-        base->histogram.Count(0), base->width, base->height);
+        {base->histogram.Count(0)}, base->width, base->height);
     for (const EditOp& op : script.ops) {
       ASSERT_TRUE(editor.ApplyOp(op, &editor_state).ok())
           << EditOpToString(op);
       ASSERT_TRUE(
-          engine.ApplyRule(op, 0, target_resolver, &rule_state).ok())
+          engine.ApplyRule(op, {0}, &target_resolver, &rule_state).ok())
           << EditOpToString(op);
       EXPECT_EQ(rule_state.width, editor_state.canvas.width())
           << EditOpToString(op) << "\n" << script.ToString();
@@ -226,46 +227,79 @@ TEST_P(StructuralLockstep, EditorAndRulesAgreeAfterEveryOp) {
 INSTANTIATE_TEST_SUITE_P(SeedSweep, StructuralLockstep,
                          ::testing::Range(uint64_t{200}, uint64_t{212}));
 
-/// Runs the all-bin fold and the one-bin fold for every bin over
-/// `script`, expects the same final state bin for bin or the same failure
-/// from both, and returns the all-bin fold's status.
+/// Folds `script` over every bin (as top-k does), then over each bin
+/// alone (as a range query does) and over random bin lists that repeat a
+/// bin (as a conjunction may), drawn from `lists_rng`. Expects entry i
+/// of every list's fold to equal the all-bin fold's entry for bin
+/// `bins[i]`, with the same geometry, or the same failure from both;
+/// returns the all-bin fold's status.
 Status FoldsAgree(const RuleEngine& engine,
                   const AugmentedCollection& collection,
-                  const EditScript& script) {
+                  const EditScript& script, Rng& lists_rng) {
   const BinaryImageInfo* base = collection.FindBinary(script.base_id);
   if (base == nullptr) return Status::NotFound("base of the test script");
-  const Result<AllBinRuleState> all = ComputeAllBinRuleState(
-      engine, script, base->histogram.counts(), base->width, base->height,
-      collection.MakeAllBinTargetResolver(engine));
-  const TargetBoundsResolver resolver = collection.MakeTargetResolver(engine);
-  for (BinIndex bin = 0; bin < engine.quantizer().BinCount(); ++bin) {
-    const Result<RuleState> one =
-        ComputeRuleState(engine, script, bin, base->histogram.Count(bin),
-                         base->width, base->height, resolver);
-    EXPECT_EQ(one.status().ToString(), all.status().ToString())
-        << "bin " << bin << "\n" << script.ToString();
-    if (!one.ok() || !all.ok()) continue;
-    const size_t i = static_cast<size_t>(bin);
-    EXPECT_EQ(all->hb_min[i], one->hb_min) << "bin " << bin << "\n"
-                                           << script.ToString();
-    EXPECT_EQ(all->hb_max[i], one->hb_max) << "bin " << bin << "\n"
-                                           << script.ToString();
-    EXPECT_EQ(all->size, one->size);
-    EXPECT_EQ(all->width, one->width);
-    EXPECT_EQ(all->height, one->height);
-    EXPECT_EQ(all->defined_region, one->defined_region);
+  const CollectionTargetResolver resolver(collection, engine);
+  const auto fold = [&](const std::vector<BinIndex>& bins, RuleState* state) {
+    return FoldRules(engine, script, bins, base->histogram.counts(),
+                     base->width, base->height, &resolver, state);
+  };
+  const BinIndex bin_count = engine.quantizer().BinCount();
+  std::vector<BinIndex> every_bin(static_cast<size_t>(bin_count));
+  std::iota(every_bin.begin(), every_bin.end(), BinIndex{0});
+  RuleState all;
+  const Status all_status = fold(every_bin, &all);
+
+  std::vector<std::vector<BinIndex>> lists;
+  for (BinIndex bin : every_bin) lists.push_back({bin});
+  for (int list = 0; list < 4; ++list) {
+    std::vector<BinIndex> bins;
+    const int64_t distinct = lists_rng.UniformInt(1, 4);
+    for (int64_t i = 0; i < distinct; ++i) {
+      bins.push_back(static_cast<BinIndex>(lists_rng.Uniform(
+          static_cast<uint64_t>(bin_count))));
+    }
+    const BinIndex repeated = bins[lists_rng.Uniform(bins.size())];
+    bins.insert(bins.begin() + static_cast<ptrdiff_t>(
+                                   lists_rng.Uniform(bins.size() + 1)),
+                repeated);
+    lists.push_back(std::move(bins));
   }
-  return all.status();
+
+  for (const std::vector<BinIndex>& bins : lists) {
+    RuleState some;
+    const Status status = fold(bins, &some);
+    EXPECT_EQ(status.ToString(), all_status.ToString())
+        << "bins " << ::testing::PrintToString(bins) << "\n"
+        << script.ToString();
+    if (!status.ok() || !all_status.ok()) continue;
+    const bool sized = some.hb_min.size() == bins.size() &&
+                       some.hb_max.size() == bins.size();
+    EXPECT_TRUE(sized) << "bins " << ::testing::PrintToString(bins);
+    if (!sized) continue;
+    for (size_t i = 0; i < bins.size(); ++i) {
+      const size_t bin = static_cast<size_t>(bins[i]);
+      EXPECT_EQ(some.hb_min[i], all.hb_min[bin])
+          << "bin " << bin << "\n" << script.ToString();
+      EXPECT_EQ(some.hb_max[i], all.hb_max[bin])
+          << "bin " << bin << "\n" << script.ToString();
+    }
+    EXPECT_EQ(some.size, all.size);
+    EXPECT_EQ(some.width, all.width);
+    EXPECT_EQ(some.height, all.height);
+    EXPECT_EQ(some.defined_region, all.defined_region);
+  }
+  return all_status;
 }
 
-/// The all-bin fold (one walk for every bin, as top-k uses it) against
-/// the one-bin fold: random scripts with Merges into binary targets, one
-/// Merge into an edited target, a Merge cycle and a missing target, in
-/// sound and paper-strict mode.
+/// The fold over every bin (as top-k uses it) against the fold over each
+/// bin alone and over random lists with a repeated bin: random scripts
+/// with Merges into binary targets, one Merge into an edited target, a
+/// Merge cycle and a missing target, in sound and paper-strict mode.
 class AllBinFold : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AllBinFold, EqualsOneBinFoldForEveryBin) {
   Rng rng(GetParam());
+  Rng lists_rng(1000 + GetParam());  // Bin lists; `rng` draws scripts.
   Universe u = MakeUniverse(rng);
   const datasets::MergeTarget& first = u.targets.front();
 
@@ -302,20 +336,113 @@ TEST_P(AllBinFold, EqualsOneBinFoldForEveryBin) {
                              mmdb::testing::RandomScript(
                                  base.id, base.width, base.height,
                                  static_cast<int>(rng.UniformInt(1, 10)),
-                                 u.targets, rng))
+                                 u.targets, rng),
+                             lists_rng)
                       .ok());
     }
-    EXPECT_TRUE(FoldsAgree(engine, u.collection, edited_target.script).ok());
-    EXPECT_TRUE(FoldsAgree(engine, u.collection, into_edited).ok());
-    EXPECT_EQ(FoldsAgree(engine, u.collection, into_cycle).code(),
+    EXPECT_TRUE(FoldsAgree(engine, u.collection, edited_target.script,
+                           lists_rng).ok());
+    EXPECT_TRUE(FoldsAgree(engine, u.collection, into_edited, lists_rng).ok());
+    EXPECT_EQ(FoldsAgree(engine, u.collection, into_cycle, lists_rng).code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(FoldsAgree(engine, u.collection, into_missing).code(),
+    EXPECT_EQ(FoldsAgree(engine, u.collection, into_missing, lists_rng).code(),
               StatusCode::kNotFound);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedSweep, AllBinFold,
                          ::testing::Range(uint64_t{300}, uint64_t{316}));
+
+/// One bounder bounds images in turn, as a scan does, reusing its walk's
+/// bins and state; a fresh bounder per image, and a walk per conjunct
+/// (the counting the one walk keeps), must agree with it on ids and
+/// every counter. The images take 3, then 1, then 2 conjuncts, one list
+/// repeats a bin, and some scripts Merge into a stored edited image.
+TEST(EditedImageBounderTest, ReusedBounderMatchesFreshBounderPerImage) {
+  Rng rng(400);
+  Universe u = MakeUniverse(rng);
+  const RuleEngine engine(u.quantizer);
+  const datasets::MergeTarget& first = u.targets.front();
+  EditedImageInfo edited_target;
+  edited_target.id = 50;
+  edited_target.script = mmdb::testing::RandomScript(
+      first.id, first.width, first.height, 6, u.targets, rng);
+  ASSERT_TRUE(u.collection.AddEdited(edited_target).ok());
+
+  // Narrow windows over bins the bases hold, on short scripts, so each
+  // conjunct passes some images and fails others.
+  std::vector<BinIndex> held;
+  for (BinIndex bin = 0; bin < u.quantizer.BinCount(); ++bin) {
+    if (u.collection.FindBinary(first.id)->histogram.Count(bin) > 0) {
+      held.push_back(bin);
+    }
+  }
+  ASSERT_GE(held.size(), 4u);
+  const std::vector<std::vector<RangeQuery>> lists = {
+      {{held[0], 0.0, 0.10}, {held[1], 0.2, 1.0}, {held[2], 0.0, 0.12}},
+      {{held[3], 0.25, 1.0}},
+      {{held[1], 0.0, 0.2}, {held[1], 0.15, 1.0}},
+  };
+
+  const CollectionTargetResolver resolver(u.collection, engine);
+  const EditedImageBounder reused(u.collection, engine);
+  QueryResult reused_out, fresh_out, sequential_out;
+  for (int i = 0; i < 30; ++i) {
+    const datasets::MergeTarget& base =
+        u.targets[rng.Uniform(u.targets.size())];
+    EditedImageInfo image;
+    image.id = static_cast<ObjectId>(100 + i);
+    image.script = mmdb::testing::RandomScript(
+        base.id, base.width, base.height,
+        static_cast<int>(rng.UniformInt(1, 4)), u.targets, rng);
+    if (i % 3 == 1) {
+      image.script.ops.emplace_back(MergeOp{ObjectId{50}, 2, 1});
+    }
+    const std::vector<RangeQuery>& conjuncts = lists[i % lists.size()];
+
+    ASSERT_TRUE(reused.Bound(image, conjuncts, nullptr, &reused_out).ok());
+    ASSERT_TRUE(EditedImageBounder(u.collection, engine)
+                    .Bound(image, conjuncts, nullptr, &fresh_out)
+                    .ok());
+    const BinaryImageInfo* image_base = u.collection.FindBinary(base.id);
+    bool candidate = true;
+    for (const RangeQuery& conjunct : conjuncts) {
+      RuleState state;
+      ASSERT_TRUE(FoldRules(engine, image.script, {conjunct.bin},
+                            image_base->histogram.counts(),
+                            image_base->width, image_base->height,
+                            &resolver, &state)
+                      .ok());
+      sequential_out.stats.rules_applied +=
+          static_cast<int64_t>(image.script.ops.size());
+      if (!ToFractionBounds(state, 0).Overlaps(conjunct.min_fraction,
+                                               conjunct.max_fraction)) {
+        candidate = false;
+        break;
+      }
+    }
+    ++sequential_out.stats.edited_images_bounded;
+    if (candidate) sequential_out.ids.push_back(image.id);
+  }
+
+  for (const QueryResult* other : {&fresh_out, &sequential_out}) {
+    EXPECT_EQ(reused_out.ids, other->ids);
+    EXPECT_EQ(reused_out.stats.binary_images_checked,
+              other->stats.binary_images_checked);
+    EXPECT_EQ(reused_out.stats.edited_images_bounded,
+              other->stats.edited_images_bounded);
+    EXPECT_EQ(reused_out.stats.edited_images_skipped,
+              other->stats.edited_images_skipped);
+    EXPECT_EQ(reused_out.stats.rules_applied, other->stats.rules_applied);
+    EXPECT_EQ(reused_out.stats.images_instantiated,
+              other->stats.images_instantiated);
+    EXPECT_EQ(reused_out.stats.corrupt_images_skipped,
+              other->stats.corrupt_images_skipped);
+  }
+  // Not vacuous: some images pass and some fail.
+  EXPECT_GT(reused_out.ids.size(), 0u);
+  EXPECT_LT(reused_out.ids.size(), 30u);
+}
 
 /// The sound Mutate rule's memoized scale bracket against a reference
 /// loop: cold (a fresh thread's empty memo), warm (the same keys again),
@@ -345,11 +472,12 @@ TEST(BoundsTest, EmptyScriptYieldsExactBaseFraction) {
   const RuleEngine engine(quantizer);
   EditScript script;
   script.base_id = 1;
-  Result<FractionBounds> bounds =
-      ComputeBounds(engine, script, 0, 25, 10, 10, nullptr);
-  ASSERT_TRUE(bounds.ok());
-  EXPECT_DOUBLE_EQ(bounds->min_fraction, 0.25);
-  EXPECT_DOUBLE_EQ(bounds->max_fraction, 0.25);
+  RuleState state;
+  ASSERT_TRUE(
+      FoldRules(engine, script, {0}, {25}, 10, 10, nullptr, &state).ok());
+  const FractionBounds bounds = ToFractionBounds(state, 0);
+  EXPECT_DOUBLE_EQ(bounds.min_fraction, 0.25);
+  EXPECT_DOUBLE_EQ(bounds.max_fraction, 0.25);
 }
 
 }  // namespace

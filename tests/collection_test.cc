@@ -86,15 +86,14 @@ TEST(CollectionTest, TargetResolverBinaryIsExact) {
   AugmentedCollection collection;
   ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed, 6)).ok());
   const RuleEngine engine(quantizer);
-  const TargetBoundsResolver resolver =
-      collection.MakeTargetResolver(engine);
+  const CollectionTargetResolver resolver(collection, engine);
   const BinIndex red_bin = quantizer.BinOf(colors::kRed);
-  Result<TargetBounds> bounds = resolver(1, red_bin);
+  Result<const RuleState*> bounds = resolver.Resolve(1, {red_bin});
   ASSERT_TRUE(bounds.ok());
-  EXPECT_EQ(bounds->hb_min, 36);
-  EXPECT_EQ(bounds->hb_max, 36);
-  EXPECT_EQ(bounds->size, 36);
-  EXPECT_EQ(bounds->width, 6);
+  EXPECT_EQ((*bounds)->hb_min[0], 36);
+  EXPECT_EQ((*bounds)->hb_max[0], 36);
+  EXPECT_EQ((*bounds)->size, 36);
+  EXPECT_EQ((*bounds)->width, 6);
 }
 
 TEST(CollectionTest, TargetResolverRecursesThroughEditedTargets) {
@@ -109,24 +108,22 @@ TEST(CollectionTest, TargetResolverRecursesThroughEditedTargets) {
   ASSERT_TRUE(collection.AddEdited(edited).ok());
 
   const RuleEngine engine(quantizer);
-  const TargetBoundsResolver resolver =
-      collection.MakeTargetResolver(engine);
+  const CollectionTargetResolver resolver(collection, engine);
   const BinIndex red_bin = quantizer.BinOf(colors::kRed);
-  Result<TargetBounds> bounds = resolver(2, red_bin);
+  Result<const RuleState*> bounds = resolver.Resolve(2, {red_bin});
   ASSERT_TRUE(bounds.ok());
   // All 36 red pixels may have left the bin.
-  EXPECT_EQ(bounds->hb_min, 0);
-  EXPECT_EQ(bounds->hb_max, 36);
-  EXPECT_EQ(bounds->size, 36);
+  EXPECT_EQ((*bounds)->hb_min[0], 0);
+  EXPECT_EQ((*bounds)->hb_max[0], 36);
+  EXPECT_EQ((*bounds)->size, 36);
 }
 
 TEST(CollectionTest, TargetResolverReportsMissingTarget) {
   const ColorQuantizer quantizer(4);
   AugmentedCollection collection;
   const RuleEngine engine(quantizer);
-  const TargetBoundsResolver resolver =
-      collection.MakeTargetResolver(engine);
-  EXPECT_EQ(resolver(42, 0).status().code(), StatusCode::kNotFound);
+  const CollectionTargetResolver resolver(collection, engine);
+  EXPECT_EQ(resolver.Resolve(42, {0}).status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

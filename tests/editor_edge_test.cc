@@ -51,12 +51,17 @@ TEST(EditorEdgeTest, RulesAgreeOnEmptyDefinedRegion) {
   script.ops.emplace_back(DefineOp{Rect(2, 2, 2, 2)});  // Empty.
   script.ops.emplace_back(ModifyOp{colors::kRed, colors::kBlue});
   script.ops.emplace_back(CombineOp::BoxBlur());
-  const auto bounds = ComputeBounds(
-      engine, script, quantizer.BinOf(colors::kRed), 16, 4, 4, nullptr);
-  ASSERT_TRUE(bounds.ok());
+  const BinIndex red = quantizer.BinOf(colors::kRed);
+  std::vector<int64_t> base_counts(static_cast<size_t>(quantizer.BinCount()));
+  base_counts[static_cast<size_t>(red)] = 16;  // A 4x4 all-red base.
+  RuleState state;
+  ASSERT_TRUE(
+      FoldRules(engine, script, {red}, base_counts, 4, 4, nullptr, &state)
+          .ok());
+  const FractionBounds bounds = ToFractionBounds(state, 0);
   // |DR| = 0: bounds stay the exact base point.
-  EXPECT_DOUBLE_EQ(bounds->min_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(bounds->max_fraction, 1.0);
+  EXPECT_DOUBLE_EQ(bounds.min_fraction, 1.0);
+  EXPECT_DOUBLE_EQ(bounds.max_fraction, 1.0);
 }
 
 TEST(EditorEdgeTest, ScaleDownToOnePixel) {

@@ -99,8 +99,7 @@ TEST_P(HsvSoundness, RuleBoundsContainExactCountsUnderHsv) {
     targets.push_back({id, image.width(), image.height()});
     pixels.emplace(id, std::move(image));
   }
-  const TargetBoundsResolver resolver =
-      collection.MakeTargetResolver(engine);
+  const CollectionTargetResolver resolver(collection, engine);
   const Editor editor([&pixels](ObjectId id) -> Result<Image> {
     return pixels.at(id);
   });
@@ -116,12 +115,12 @@ TEST_P(HsvSoundness, RuleBoundsContainExactCountsUnderHsv) {
     ASSERT_TRUE(instantiated.ok());
     const ColorHistogram exact = ExtractHistogram(*instantiated, quantizer);
     for (BinIndex bin = 0; bin < quantizer.BinCount(); bin += 3) {
-      const auto state = ComputeRuleState(
-          engine, script, bin, base->histogram.Count(bin), base->width,
-          base->height, resolver);
-      ASSERT_TRUE(state.ok());
-      EXPECT_LE(state->hb_min, exact.Count(bin)) << script.ToString();
-      EXPECT_GE(state->hb_max, exact.Count(bin)) << script.ToString();
+      RuleState state;
+      ASSERT_TRUE(FoldRules(engine, script, {bin}, base->histogram.counts(),
+                            base->width, base->height, &resolver, &state)
+                      .ok());
+      EXPECT_LE(state.hb_min[0], exact.Count(bin)) << script.ToString();
+      EXPECT_GE(state.hb_max[0], exact.Count(bin)) << script.ToString();
     }
   }
 }

@@ -65,7 +65,7 @@ TEST(IntegrationTest, ConventionalIndexAgreesWithProcessorsOnBinaries) {
   spec.seed = 103;
   ASSERT_TRUE(datasets::BuildAugmentedDatabase(db.get(), spec).ok());
 
-  // Index every binary image's signature in the R-tree.
+  // Index every binary image's signature in the per-bin postings.
   HistogramIndex index(db->quantizer().BinCount());
   for (ObjectId id : db->collection().binary_ids()) {
     ASSERT_TRUE(

@@ -83,8 +83,8 @@ TEST(CorpusStatsTest, SelectivityMatchesKnownOccupancy) {
 TEST(QueryPlannerTest, CostModelCrossesOverAtSelectivity) {
   auto db = MakeSkewedBinaryDataset();
   const QueryPlanner planner(*db);
-  // Selective side of the Fig 3/4 crossover: the R-tree's traversal
-  // overhead is cheaper than probing every stored histogram.
+  // Selective side of the Fig 3/4 crossover: the histogram index's
+  // probe overhead is cheaper than testing every stored histogram.
   EXPECT_LT(planner.MethodCost(QueryMethod::kBwmIndexed, 0.01),
             planner.MethodCost(QueryMethod::kRbm, 0.01));
   // Broad side: per-result index visits lose to the linear scan.
@@ -105,7 +105,7 @@ TEST(QueryPlannerTest, GoldenDriverMethodOnBothSidesOfTheCrossover) {
   auto db = MakeSkewedBinaryDataset();
   const QueryPlanner planner(*db);
 
-  // ~1.7% selective: the planner must reach for the histogram R-tree.
+  // ~1.7% selective: the planner must reach for the histogram index.
   const QueryPlan selective =
       planner.PlanRange(AtLeast(db->BinOf(colors::kRed), 0.5));
   ASSERT_EQ(selective.steps.size(), 1u);

@@ -12,26 +12,26 @@ class RulesTest : public ::testing::Test {
   ColorQuantizer quantizer_{4};
   RuleEngine engine_{quantizer_};
   RuleEngine strict_engine_{quantizer_, RuleOptions{.paper_strict = true}};
-  TargetBoundsResolver no_resolver_;
+  const MergeTargetResolver* no_resolver_ = nullptr;
 };
 
 TEST_F(RulesTest, InitialStateIsExactPoint) {
-  const RuleState state = RuleEngine::InitialState(30, 10, 8);
-  EXPECT_EQ(state.hb_min, 30);
-  EXPECT_EQ(state.hb_max, 30);
+  const RuleState state = RuleEngine::InitialState({30}, 10, 8);
+  EXPECT_EQ(state.hb_min[0], 30);
+  EXPECT_EQ(state.hb_max[0], 30);
   EXPECT_EQ(state.size, 80);
   EXPECT_EQ(state.defined_region, Rect(0, 0, 10, 8));
 }
 
 TEST_F(RulesTest, DefineSetsAndClipsRegionWithoutBoundChange) {
-  RuleState state = RuleEngine::InitialState(30, 10, 8);
+  RuleState state = RuleEngine::InitialState({30}, 10, 8);
   ASSERT_TRUE(engine_
-                  .ApplyRule(DefineOp{Rect(5, 5, 100, 100)}, 0, no_resolver_,
+                  .ApplyRule(DefineOp{Rect(5, 5, 100, 100)}, {0}, no_resolver_,
                              &state)
                   .ok());
   EXPECT_EQ(state.defined_region, Rect(5, 5, 10, 8));
-  EXPECT_EQ(state.hb_min, 30);
-  EXPECT_EQ(state.hb_max, 30);
+  EXPECT_EQ(state.hb_min[0], 30);
+  EXPECT_EQ(state.hb_max[0], 30);
   EXPECT_EQ(state.size, 80);
 }
 
@@ -39,17 +39,17 @@ TEST_F(RulesTest, ModifyNewColorInBinRaisesOnlyMax) {
   // Table 1 row 1.
   const Rgb target = colors::kBlue;
   const BinIndex hb = quantizer_.BinOf(target);
-  RuleState state = RuleEngine::InitialState(10, 10, 10);
+  RuleState state = RuleEngine::InitialState({10}, 10, 10);
   ASSERT_TRUE(engine_
-                  .ApplyRule(DefineOp{Rect(0, 0, 5, 5)}, hb, no_resolver_,
+                  .ApplyRule(DefineOp{Rect(0, 0, 5, 5)}, {hb}, no_resolver_,
                              &state)
                   .ok());
   ASSERT_TRUE(engine_
-                  .ApplyRule(ModifyOp{colors::kRed, target}, hb,
+                  .ApplyRule(ModifyOp{colors::kRed, target}, {hb},
                              no_resolver_, &state)
                   .ok());
-  EXPECT_EQ(state.hb_min, 10);       // Unchanged.
-  EXPECT_EQ(state.hb_max, 10 + 25);  // +|DR|.
+  EXPECT_EQ(state.hb_min[0], 10);       // Unchanged.
+  EXPECT_EQ(state.hb_max[0], 10 + 25);  // +|DR|.
   EXPECT_EQ(state.size, 100);
 }
 
@@ -57,83 +57,83 @@ TEST_F(RulesTest, ModifyOldColorInBinLowersOnlyMin) {
   // Table 1 row 2.
   const Rgb source = colors::kRed;
   const BinIndex hb = quantizer_.BinOf(source);
-  RuleState state = RuleEngine::InitialState(40, 10, 10);
+  RuleState state = RuleEngine::InitialState({40}, 10, 10);
   ASSERT_TRUE(engine_
-                  .ApplyRule(DefineOp{Rect(0, 0, 5, 2)}, hb, no_resolver_,
+                  .ApplyRule(DefineOp{Rect(0, 0, 5, 2)}, {hb}, no_resolver_,
                              &state)
                   .ok());
   ASSERT_TRUE(engine_
-                  .ApplyRule(ModifyOp{source, colors::kGreen}, hb,
+                  .ApplyRule(ModifyOp{source, colors::kGreen}, {hb},
                              no_resolver_, &state)
                   .ok());
-  EXPECT_EQ(state.hb_min, 30);  // -|DR| = -10.
-  EXPECT_EQ(state.hb_max, 40);
+  EXPECT_EQ(state.hb_min[0], 30);  // -|DR| = -10.
+  EXPECT_EQ(state.hb_max[0], 40);
 }
 
 TEST_F(RulesTest, ModifyUnrelatedColorsNoChange) {
   // Table 1 row 3.
   const BinIndex hb = quantizer_.BinOf(colors::kBlue);
-  RuleState state = RuleEngine::InitialState(12, 10, 10);
+  RuleState state = RuleEngine::InitialState({12}, 10, 10);
   ASSERT_TRUE(engine_
-                  .ApplyRule(ModifyOp{colors::kRed, colors::kGreen}, hb,
+                  .ApplyRule(ModifyOp{colors::kRed, colors::kGreen}, {hb},
                              no_resolver_, &state)
                   .ok());
-  EXPECT_EQ(state.hb_min, 12);
-  EXPECT_EQ(state.hb_max, 12);
+  EXPECT_EQ(state.hb_min[0], 12);
+  EXPECT_EQ(state.hb_max[0], 12);
 }
 
 TEST_F(RulesTest, ModifyMinIsClampedAtZero) {
   const Rgb source = colors::kRed;
   const BinIndex hb = quantizer_.BinOf(source);
-  RuleState state = RuleEngine::InitialState(5, 10, 10);  // |DR| > HBmin.
+  RuleState state = RuleEngine::InitialState({5}, 10, 10);  // |DR| > HBmin.
   ASSERT_TRUE(engine_
-                  .ApplyRule(ModifyOp{source, colors::kGreen}, hb,
+                  .ApplyRule(ModifyOp{source, colors::kGreen}, {hb},
                              no_resolver_, &state)
                   .ok());
-  EXPECT_EQ(state.hb_min, 0);
+  EXPECT_EQ(state.hb_min[0], 0);
 }
 
 TEST_F(RulesTest, CombineWidensInSoundMode) {
-  RuleState state = RuleEngine::InitialState(50, 10, 10);
+  RuleState state = RuleEngine::InitialState({50}, 10, 10);
   ASSERT_TRUE(engine_
-                  .ApplyRule(DefineOp{Rect(0, 0, 4, 5)}, 0, no_resolver_,
+                  .ApplyRule(DefineOp{Rect(0, 0, 4, 5)}, {0}, no_resolver_,
                              &state)
                   .ok());
   ASSERT_TRUE(
-      engine_.ApplyRule(CombineOp::BoxBlur(), 0, no_resolver_, &state).ok());
-  EXPECT_EQ(state.hb_min, 30);  // -20.
-  EXPECT_EQ(state.hb_max, 70);  // +20.
+      engine_.ApplyRule(CombineOp::BoxBlur(), {0}, no_resolver_, &state).ok());
+  EXPECT_EQ(state.hb_min[0], 30);  // -20.
+  EXPECT_EQ(state.hb_max[0], 70);  // +20.
   EXPECT_EQ(state.size, 100);
 }
 
 TEST_F(RulesTest, CombineNoChangeInStrictMode) {
   // Table 1 literally says "No change" for Combine.
-  RuleState state = RuleEngine::InitialState(50, 10, 10);
+  RuleState state = RuleEngine::InitialState({50}, 10, 10);
   ASSERT_TRUE(strict_engine_
-                  .ApplyRule(CombineOp::BoxBlur(), 0, no_resolver_, &state)
+                  .ApplyRule(CombineOp::BoxBlur(), {0}, no_resolver_, &state)
                   .ok());
-  EXPECT_EQ(state.hb_min, 50);
-  EXPECT_EQ(state.hb_max, 50);
+  EXPECT_EQ(state.hb_min[0], 50);
+  EXPECT_EQ(state.hb_max[0], 50);
 }
 
 TEST_F(RulesTest, CombineZeroWeightsIsNoOpEvenInSoundMode) {
-  RuleState state = RuleEngine::InitialState(50, 10, 10);
+  RuleState state = RuleEngine::InitialState({50}, 10, 10);
   CombineOp zero;
   zero.weights.fill(0.0);
-  ASSERT_TRUE(engine_.ApplyRule(zero, 0, no_resolver_, &state).ok());
-  EXPECT_EQ(state.hb_min, 50);
-  EXPECT_EQ(state.hb_max, 50);
+  ASSERT_TRUE(engine_.ApplyRule(zero, {0}, no_resolver_, &state).ok());
+  EXPECT_EQ(state.hb_min[0], 50);
+  EXPECT_EQ(state.hb_max[0], 50);
 }
 
 TEST_F(RulesTest, FullCanvasIntegerScaleMultipliesEverything) {
   // Table 1 "DR contains image".
-  RuleState state = RuleEngine::InitialState(25, 10, 10);
+  RuleState state = RuleEngine::InitialState({25}, 10, 10);
   ASSERT_TRUE(engine_
-                  .ApplyRule(MutateOp::Scale(2.0, 2.0), 0, no_resolver_,
+                  .ApplyRule(MutateOp::Scale(2.0, 2.0), {0}, no_resolver_,
                              &state)
                   .ok());
-  EXPECT_EQ(state.hb_min, 100);
-  EXPECT_EQ(state.hb_max, 100);
+  EXPECT_EQ(state.hb_min[0], 100);
+  EXPECT_EQ(state.hb_max[0], 100);
   EXPECT_EQ(state.size, 400);
   EXPECT_EQ(state.width, 20);
   EXPECT_EQ(state.height, 20);
@@ -141,124 +141,128 @@ TEST_F(RulesTest, FullCanvasIntegerScaleMultipliesEverything) {
 }
 
 TEST_F(RulesTest, StrictScaleUsesM11TimesM22) {
-  RuleState state = RuleEngine::InitialState(25, 10, 10);
+  RuleState state = RuleEngine::InitialState({25}, 10, 10);
   ASSERT_TRUE(strict_engine_
-                  .ApplyRule(MutateOp::Scale(2.0, 2.0), 0, no_resolver_,
+                  .ApplyRule(MutateOp::Scale(2.0, 2.0), {0}, no_resolver_,
                              &state)
                   .ok());
-  EXPECT_EQ(state.hb_min, 100);
-  EXPECT_EQ(state.hb_max, 100);
+  EXPECT_EQ(state.hb_min[0], 100);
+  EXPECT_EQ(state.hb_max[0], 100);
   EXPECT_EQ(state.size, 400);
 }
 
 TEST_F(RulesTest, PartialDrScaleIsNotTheScalingRule) {
   // With the DR a strict subregion, the stamp fallback applies: size is
   // unchanged and bounds widen.
-  RuleState state = RuleEngine::InitialState(25, 10, 10);
+  RuleState state = RuleEngine::InitialState({25}, 10, 10);
   ASSERT_TRUE(engine_
-                  .ApplyRule(DefineOp{Rect(0, 0, 2, 2)}, 0, no_resolver_,
+                  .ApplyRule(DefineOp{Rect(0, 0, 2, 2)}, {0}, no_resolver_,
                              &state)
                   .ok());
   ASSERT_TRUE(engine_
-                  .ApplyRule(MutateOp::Scale(2.0, 2.0), 0, no_resolver_,
+                  .ApplyRule(MutateOp::Scale(2.0, 2.0), {0}, no_resolver_,
                              &state)
                   .ok());
   EXPECT_EQ(state.size, 100);
-  EXPECT_LE(state.hb_min, 25);
-  EXPECT_GE(state.hb_max, 25);
+  EXPECT_LE(state.hb_min[0], 25);
+  EXPECT_GE(state.hb_max[0], 25);
 }
 
 TEST_F(RulesTest, RigidBodyWidensByDrInStrictMode) {
   // Table 1 "Rigid Body": +-|DR| exactly.
-  RuleState state = RuleEngine::InitialState(50, 10, 10);
+  RuleState state = RuleEngine::InitialState({50}, 10, 10);
   ASSERT_TRUE(strict_engine_
-                  .ApplyRule(DefineOp{Rect(0, 0, 3, 4)}, 0, no_resolver_,
+                  .ApplyRule(DefineOp{Rect(0, 0, 3, 4)}, {0}, no_resolver_,
                              &state)
                   .ok());
   ASSERT_TRUE(strict_engine_
-                  .ApplyRule(MutateOp::Translation(2, 2), 0, no_resolver_,
+                  .ApplyRule(MutateOp::Translation(2, 2), {0}, no_resolver_,
                              &state)
                   .ok());
-  EXPECT_EQ(state.hb_min, 50 - 12);
-  EXPECT_EQ(state.hb_max, 50 + 12);
+  EXPECT_EQ(state.hb_min[0], 50 - 12);
+  EXPECT_EQ(state.hb_max[0], 50 + 12);
   EXPECT_EQ(state.size, 100);
 }
 
 TEST_F(RulesTest, RigidBodySoundModeIsAtLeastAsWide) {
-  RuleState strict = RuleEngine::InitialState(50, 10, 10);
+  RuleState strict = RuleEngine::InitialState({50}, 10, 10);
   RuleState sound = strict;
   const DefineOp define{Rect(2, 2, 6, 6)};
   const MutateOp rotate = MutateOp::Rotation(kPi / 4, 4.0, 4.0);
   ASSERT_TRUE(
-      strict_engine_.ApplyRule(define, 0, no_resolver_, &strict).ok());
+      strict_engine_.ApplyRule(define, {0}, no_resolver_, &strict).ok());
   ASSERT_TRUE(
-      strict_engine_.ApplyRule(rotate, 0, no_resolver_, &strict).ok());
-  ASSERT_TRUE(engine_.ApplyRule(define, 0, no_resolver_, &sound).ok());
-  ASSERT_TRUE(engine_.ApplyRule(rotate, 0, no_resolver_, &sound).ok());
-  EXPECT_LE(sound.hb_min, strict.hb_min);
-  EXPECT_GE(sound.hb_max, strict.hb_max);
+      strict_engine_.ApplyRule(rotate, {0}, no_resolver_, &strict).ok());
+  ASSERT_TRUE(engine_.ApplyRule(define, {0}, no_resolver_, &sound).ok());
+  ASSERT_TRUE(engine_.ApplyRule(rotate, {0}, no_resolver_, &sound).ok());
+  EXPECT_LE(sound.hb_min[0], strict.hb_min[0]);
+  EXPECT_GE(sound.hb_max[0], strict.hb_max[0]);
   EXPECT_EQ(sound.size, strict.size);
 }
 
 TEST_F(RulesTest, MergeNullUsesTableOneFormulas) {
   // E = 100, HBmin = HBmax = 70, |DR| = 50:
   //   min' = max(0, 50 - (100 - 70)) = 20, max' = min(70, 50) = 50.
-  RuleState state = RuleEngine::InitialState(70, 10, 10);
+  RuleState state = RuleEngine::InitialState({70}, 10, 10);
   ASSERT_TRUE(engine_
-                  .ApplyRule(DefineOp{Rect(0, 0, 10, 5)}, 0, no_resolver_,
+                  .ApplyRule(DefineOp{Rect(0, 0, 10, 5)}, {0}, no_resolver_,
                              &state)
                   .ok());
-  ASSERT_TRUE(engine_.ApplyRule(MergeOp{}, 0, no_resolver_, &state).ok());
-  EXPECT_EQ(state.hb_min, 20);
-  EXPECT_EQ(state.hb_max, 50);
+  ASSERT_TRUE(engine_.ApplyRule(MergeOp{}, {0}, no_resolver_, &state).ok());
+  EXPECT_EQ(state.hb_min[0], 20);
+  EXPECT_EQ(state.hb_max[0], 50);
   EXPECT_EQ(state.size, 50);
   EXPECT_EQ(state.width, 10);
   EXPECT_EQ(state.height, 5);
 }
 
 TEST_F(RulesTest, MergeNullClampsMinAtZero) {
-  RuleState state = RuleEngine::InitialState(10, 10, 10);
+  RuleState state = RuleEngine::InitialState({10}, 10, 10);
   ASSERT_TRUE(engine_
-                  .ApplyRule(DefineOp{Rect(0, 0, 5, 5)}, 0, no_resolver_,
+                  .ApplyRule(DefineOp{Rect(0, 0, 5, 5)}, {0}, no_resolver_,
                              &state)
                   .ok());
-  ASSERT_TRUE(engine_.ApplyRule(MergeOp{}, 0, no_resolver_, &state).ok());
-  EXPECT_EQ(state.hb_min, 0);           // 25 - 90 clamps.
-  EXPECT_EQ(state.hb_max, 10);          // min(10, 25).
+  ASSERT_TRUE(engine_.ApplyRule(MergeOp{}, {0}, no_resolver_, &state).ok());
+  EXPECT_EQ(state.hb_min[0], 0);           // 25 - 90 clamps.
+  EXPECT_EQ(state.hb_max[0], 10);          // min(10, 25).
   EXPECT_EQ(state.size, 25);
 }
 
 TEST_F(RulesTest, MergeTargetCombinesBothContributions) {
   // Base: 10x10, HB = 40. DR = 4x5 = 20 pasted fully inside a 20x20
   // target with T_HB = 100.
-  TargetBoundsResolver resolver = [](ObjectId id,
-                                     BinIndex) -> Result<TargetBounds> {
-    EXPECT_EQ(id, 7u);
-    return TargetBounds{100, 100, 400, 20, 20};
-  };
-  RuleState state = RuleEngine::InitialState(40, 10, 10);
+  struct Target final : MergeTargetResolver {
+    Result<const RuleState*> Resolve(
+        ObjectId id, const std::vector<BinIndex>&) const override {
+      EXPECT_EQ(id, 7u);
+      return &state;
+    }
+    RuleState state = RuleEngine::InitialState({100}, 20, 20);
+  } target;
+  const MergeTargetResolver* resolver = &target;
+  RuleState state = RuleEngine::InitialState({40}, 10, 10);
   ASSERT_TRUE(engine_
-                  .ApplyRule(DefineOp{Rect(0, 0, 4, 5)}, 0, resolver, &state)
+                  .ApplyRule(DefineOp{Rect(0, 0, 4, 5)}, {0}, resolver, &state)
                   .ok());
   MergeOp merge;
   merge.target = 7;
   merge.x = 2;
   merge.y = 2;
-  ASSERT_TRUE(engine_.ApplyRule(merge, 0, resolver, &state).ok());
+  ASSERT_TRUE(engine_.ApplyRule(merge, {0}, resolver, &state).ok());
   // overlap = 20. paste in [max(0,40-100+20), min(40,20)] = [0, 20];
   // kept target in [max(0,100-20), min(100, 380)] = [80, 100].
-  EXPECT_EQ(state.hb_min, 80);
-  EXPECT_EQ(state.hb_max, 120);
+  EXPECT_EQ(state.hb_min[0], 80);
+  EXPECT_EQ(state.hb_max[0], 120);
   EXPECT_EQ(state.size, 400);
   EXPECT_EQ(state.width, 20);
   EXPECT_EQ(state.height, 20);
 }
 
 TEST_F(RulesTest, MergeTargetWithoutResolverFails) {
-  RuleState state = RuleEngine::InitialState(1, 4, 4);
+  RuleState state = RuleEngine::InitialState({1}, 4, 4);
   MergeOp merge;
   merge.target = 3;
-  EXPECT_EQ(engine_.ApplyRule(merge, 0, no_resolver_, &state).code(),
+  EXPECT_EQ(engine_.ApplyRule(merge, {0}, no_resolver_, &state).code(),
             StatusCode::kInvalidArgument);
 }
 

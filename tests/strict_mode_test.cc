@@ -91,15 +91,15 @@ TEST_P(StrictModeSoundness, VerbatimTableOneIsSoundOnItsDomain) {
     const ColorHistogram exact = ExtractHistogram(*instantiated, quantizer);
 
     for (BinIndex bin = 0; bin < quantizer.BinCount(); bin += 2) {
-      const auto state =
-          ComputeRuleState(strict, script, bin, base_hist.Count(bin), w, h,
-                           nullptr);
-      ASSERT_TRUE(state.ok());
-      EXPECT_LE(state->hb_min, exact.Count(bin))
+      RuleState state;
+      ASSERT_TRUE(FoldRules(strict, script, {bin}, base_hist.counts(), w, h,
+                            nullptr, &state)
+                      .ok());
+      EXPECT_LE(state.hb_min[0], exact.Count(bin))
           << "bin " << bin << "\n" << script.ToString();
-      EXPECT_GE(state->hb_max, exact.Count(bin))
+      EXPECT_GE(state.hb_max[0], exact.Count(bin))
           << "bin " << bin << "\n" << script.ToString();
-      EXPECT_EQ(state->size, instantiated->PixelCount());
+      EXPECT_EQ(state.size, instantiated->PixelCount());
     }
   }
 }
@@ -128,12 +128,13 @@ TEST(StrictModeTest, CombineIsTheDocumentedUnsoundness) {
   const Editor editor;
   const ColorHistogram exact =
       ExtractHistogram(*editor.Instantiate(checker, script), quantizer);
-  const auto state = ComputeRuleState(
-      strict, script, black_bin, base_hist.Count(black_bin), 8, 8, nullptr);
-  ASSERT_TRUE(state.ok());
+  RuleState state;
+  ASSERT_TRUE(FoldRules(strict, script, {black_bin}, base_hist.counts(), 8, 8,
+                        nullptr, &state)
+                  .ok());
   // Strict says "no change" (32 black pixels); blurring actually drains
   // the bin — the strict bounds exclude the true value.
-  EXPECT_GT(state->hb_min, exact.Count(black_bin));
+  EXPECT_GT(state.hb_min[0], exact.Count(black_bin));
 }
 
 }  // namespace

@@ -144,18 +144,18 @@ std::string ScaleBracketMismatch(const RuleEngine& engine,
         want_max = *std::max_element(hits.begin(), hits.end());
       }
       for (const bool along_x : {true, false}) {
-        RuleState state = RuleEngine::InitialState(1, along_x ? extent : 1,
-                                                   along_x ? 1 : extent);
+        RuleState state = RuleEngine::InitialState(
+            {1}, along_x ? extent : 1, along_x ? 1 : extent);
         const MutateOp resize = along_x ? MutateOp::Scale(scale, 1.0)
                                         : MutateOp::Scale(1.0, scale);
-        const Status applied = engine.ApplyRule(resize, 0, nullptr, &state);
-        if (!applied.ok() || state.hb_min != want_min ||
-            state.hb_max != want_max ||
+        const Status applied = engine.ApplyRule(resize, {0}, nullptr, &state);
+        if (!applied.ok() || state.hb_min[0] != want_min ||
+            state.hb_max[0] != want_max ||
             (along_x ? state.width : state.height) != new_extent) {
           return "extent " + std::to_string(extent) + " scale " +
                  std::to_string(scale) + (along_x ? " along x" : " along y") +
-                 ": got [" + std::to_string(state.hb_min) + ", " +
-                 std::to_string(state.hb_max) + "], want [" +
+                 ": got [" + std::to_string(state.hb_min[0]) + ", " +
+                 std::to_string(state.hb_max[0]) + "], want [" +
                  std::to_string(want_min) + ", " + std::to_string(want_max) +
                  "] (" + applied.ToString() + ")";
         }
