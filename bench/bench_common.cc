@@ -149,9 +149,8 @@ int RunFigureSweep(const FigureSweepConfig& config) {
             << "\n\n";
 
   TablePrinter table({"% edit-stored", "RBM w/out DS (ms/query)",
-                      "BWM with DS (ms/query)", "BWM+index (ms/query)",
-                      "speedup %", "rules RBM", "rules BWM",
-                      "skipped by BWM"});
+                      "BWM with DS (ms/query)", "speedup %", "rules RBM",
+                      "rules BWM", "skipped by BWM"});
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").String(config.json_name.empty() ? config.figure_name
@@ -192,8 +191,7 @@ int RunFigureSweep(const FigureSweepConfig& config) {
         datasets::PaletteFor(config.kind), config.queries, rng);
 
     const auto timed = TimeMethodsInterleaved(
-        **db, workload,
-        {QueryMethod::kRbm, QueryMethod::kBwm, QueryMethod::kBwmIndexed},
+        **db, workload, {QueryMethod::kRbm, QueryMethod::kBwm},
         config.repeats);
     if (!timed.ok()) {
       std::cerr << "workload failed: " << timed.status().ToString() << "\n";
@@ -201,7 +199,6 @@ int RunFigureSweep(const FigureSweepConfig& config) {
     }
     const WorkloadTiming& rbm = (*timed)[0];
     const WorkloadTiming& bwm = (*timed)[1];
-    const WorkloadTiming& indexed = (*timed)[2];
     const double speedup =
         rbm.avg_query_seconds > 0
             ? (1.0 - bwm.avg_query_seconds / rbm.avg_query_seconds) * 100.0
@@ -211,7 +208,6 @@ int RunFigureSweep(const FigureSweepConfig& config) {
     table.AddRow({TablePrinter::Cell(pct),
                   TablePrinter::Cell(rbm.avg_query_seconds * 1e3, 4),
                   TablePrinter::Cell(bwm.avg_query_seconds * 1e3, 4),
-                  TablePrinter::Cell(indexed.avg_query_seconds * 1e3, 4),
                   TablePrinter::Cell(speedup, 2),
                   TablePrinter::Cell(rbm.stats.rules_applied),
                   TablePrinter::Cell(bwm.stats.rules_applied),
@@ -224,9 +220,6 @@ int RunFigureSweep(const FigureSweepConfig& config) {
     json.EndObject();
     json.Key("bwm").BeginObject();
     AddTimingFields(&json, bwm);
-    json.EndObject();
-    json.Key("bwm_indexed").BeginObject();
-    AddTimingFields(&json, indexed);
     json.EndObject();
     json.EndObject();
   }

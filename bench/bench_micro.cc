@@ -1,13 +1,12 @@
 // Microbenchmarks (google-benchmark) for the building blocks: rule
 // application per operation type, the BOUNDS fold, histogram extraction,
-// instantiation, PPM codec, blob store, and histogram index operations.
+// instantiation, PPM codec, and blob store.
 
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 #include <numeric>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/bounds.h"
@@ -17,7 +16,6 @@
 #include "datasets/generators.h"
 #include "image/editor.h"
 #include "image/ppm_io.h"
-#include "index/histogram_index.h"
 #include "storage/object_store.h"
 #include "util/random.h"
 
@@ -123,56 +121,6 @@ void BM_MemoryStorePutGet(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MemoryStorePutGet)->Arg(128)->Arg(16384);
-
-/// `count` 64-bin signatures with a few colors each, flag-like.
-std::vector<ColorHistogram> SparseHistograms(int64_t count, Rng& rng) {
-  std::vector<ColorHistogram> out;
-  for (int64_t i = 0; i < count; ++i) {
-    ColorHistogram hist(64);
-    for (int color = 0; color < 4; ++color) {
-      hist.Add(static_cast<BinIndex>(rng.Uniform(64)), rng.UniformInt(1, 1000));
-    }
-    out.push_back(std::move(hist));
-  }
-  return out;
-}
-
-void BM_HistogramIndexInsert(benchmark::State& state) {
-  Rng rng(4);
-  const std::vector<ColorHistogram> histograms =
-      SparseHistograms(state.range(0), rng);
-  for (auto _ : state) {
-    state.PauseTiming();
-    HistogramIndex index(64);
-    state.ResumeTiming();
-    for (size_t i = 0; i < histograms.size(); ++i) {
-      benchmark::DoNotOptimize(
-          index.Insert(static_cast<ObjectId>(i + 1), histograms[i]));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_HistogramIndexInsert)->Arg(100)->Arg(1000);
-
-void BM_HistogramIndexRangeSearch(benchmark::State& state) {
-  Rng rng(5);
-  HistogramIndex index(64);
-  const std::vector<ColorHistogram> histograms = SparseHistograms(2000, rng);
-  for (size_t i = 0; i < histograms.size(); ++i) {
-    if (!index.Insert(static_cast<ObjectId>(i + 1), histograms[i]).ok()) {
-      state.SkipWithError("insert failed");
-      return;
-    }
-  }
-  RangeQuery query;
-  query.bin = 7;
-  query.min_fraction = 0.25;
-  query.max_fraction = 0.75;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.RangeSearch(query));
-  }
-}
-BENCHMARK(BM_HistogramIndexRangeSearch);
 
 }  // namespace
 }  // namespace mmdb

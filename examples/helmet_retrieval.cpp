@@ -11,7 +11,6 @@
 #include "core/database.h"
 #include "core/similarity.h"
 #include "datasets/augment.h"
-#include "index/histogram_index.h"
 #include "util/stopwatch.h"
 
 int main(int argc, char** argv) {
@@ -52,17 +51,6 @@ int main(int argc, char** argv) {
             << " edit-sequence images; BWM Main component covers "
             << db->bwm_index().MainEditedCount() << " of them\n";
 
-  // Conventional access path for the binary images: the histogram index.
-  mmdb::HistogramIndex index(db->quantizer().BinCount());
-  for (mmdb::ObjectId id : db->collection().binary_ids()) {
-    if (auto inserted =
-            index.Insert(id, db->collection().FindBinary(id)->histogram);
-        !inserted.ok()) {
-      std::cerr << inserted.ToString() << "\n";
-      return 1;
-    }
-  }
-
   // "Find helmets that are at least 20% navy" (a team-color search).
   mmdb::RangeQuery query;
   query.bin = db->BinOf(mmdb::colors::kNavy);
@@ -70,15 +58,10 @@ int main(int argc, char** argv) {
   query.max_fraction = 1.0;
 
   mmdb::Stopwatch watch;
-  const auto via_index = index.RangeSearch(query).value();
-  const auto index_us = watch.ElapsedMicros();
-  watch.Restart();
   const auto via_bwm = db->RunRange(query, mmdb::QueryMethod::kBwm).value();
   const auto bwm_us = watch.ElapsedMicros();
 
   std::cout << "\n\"at least 20% navy\":\n"
-            << "  histogram index over binary signatures: " << via_index.size()
-            << " binary matches in " << index_us << " us\n"
             << "  BWM over the whole augmented DB: " << via_bwm.ids.size()
             << " matches (binary + edited) in " << bwm_us << " us, "
             << via_bwm.stats.edited_images_skipped

@@ -42,13 +42,4 @@ void BwmIndex::RemoveBinary(ObjectId id) {
   if (it != main_.end() && it->second.empty()) main_.erase(it);
 }
 
-std::vector<BwmIndex::Cluster> BwmIndex::MainClusters() const {
-  std::vector<Cluster> out;
-  out.reserve(main_.size());
-  for (const auto& [base_id, edited_ids] : main_) {
-    out.push_back(Cluster{base_id, edited_ids});
-  }
-  return out;
-}
-
 }  // namespace mmdb

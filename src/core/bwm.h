@@ -37,17 +37,7 @@ class BwmIndex {
   /// still has members or is absent.
   void RemoveBinary(ObjectId id);
 
-  /// One Main Component cluster.
-  struct Cluster {
-    ObjectId base_id = kInvalidObjectId;
-    std::vector<ObjectId> edited_ids;
-  };
-
-  /// Main Component clusters in base-id order (copies; use `main_map`
-  /// for zero-copy iteration in hot paths).
-  std::vector<Cluster> MainClusters() const;
-
-  /// The Main Component keyed by base image id.
+  /// The Main Component keyed by base image id, in base-id order.
   const std::map<ObjectId, std::vector<ObjectId>>& main_map() const {
     return main_;
   }

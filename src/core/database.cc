@@ -141,11 +141,11 @@ Result<std::unique_ptr<QueryProcessor>> MultimediaDatabase::MakeProcessor(
                    .accept_span = accept_span});
     }
     case QueryMethod::kBwmIndexed: {
+      // kBwm's scan under its own span site and without fine spans, so
+      // the bwm.* stage shares stay kBwm's alone.
       static obs::SpanCategory* const scan_span =
           tracer.Intern("bwm_indexed.scan");
-      return scan({.clusters = &bwm_index_,
-                   .probe = &histogram_index_,
-                   .scan_span = scan_span});
+      return scan({.clusters = &bwm_index_, .scan_span = scan_span});
     }
     case QueryMethod::kParallelRbm: {
       static obs::SpanCategory* const scan_span =
@@ -178,8 +178,7 @@ MultimediaDatabase::~MultimediaDatabase() = default;
 MultimediaDatabase::MultimediaDatabase(DatabaseOptions options)
     : options_(std::move(options)),
       quantizer_(options_.quantizer_divisions, options_.color_space),
-      rule_engine_(quantizer_, options_.rule_options),
-      histogram_index_(quantizer_.BinCount()) {
+      rule_engine_(quantizer_, options_.rule_options) {
   meta_.next_id = catalog_keys::kFirstObjectId;
   meta_.quantizer_divisions = quantizer_.divisions();
   meta_.color_space = static_cast<uint8_t>(quantizer_.space());
@@ -212,7 +211,6 @@ Status MultimediaDatabase::LoadExisting() {
   quantizer_ = ColorQuantizer(meta_.quantizer_divisions,
                               static_cast<ColorSpace>(meta_.color_space));
   rule_engine_ = RuleEngine(quantizer_, options_.rule_options);
-  histogram_index_ = HistogramIndex(quantizer_.BinCount());
 
   // Catalog rows live under keys with residue 2; keys are ascending, so
   // objects reload in insertion (id) order — which keeps collection order
@@ -304,7 +302,6 @@ Status MultimediaDatabase::AddToMemory(const CatalogRow& row,
       info.histogram.Add(static_cast<BinIndex>(bin),
                          row.histogram_counts[bin]);
     }
-    MMDB_RETURN_IF_ERROR(histogram_index_.Insert(row.id, info.histogram));
     MMDB_RETURN_IF_ERROR(collection_.AddBinary(std::move(info)));
     bwm_index_.InsertBinary(row.id);
   } else {
@@ -453,7 +450,6 @@ Status MultimediaDatabase::DeleteImage(ObjectId id) {
     bwm_index_.RemoveEdited(id, edited->script.base_id);
     MMDB_RETURN_IF_ERROR(collection_.RemoveEdited(id));
   } else {
-    MMDB_RETURN_IF_ERROR(histogram_index_.Remove(id, binary->histogram));
     bwm_index_.RemoveBinary(id);
     MMDB_RETURN_IF_ERROR(collection_.RemoveBinary(id));
   }

@@ -20,7 +20,6 @@
 #include "core/query.h"
 #include "core/query_processor.h"
 #include "core/rules.h"
-#include "index/histogram_index.h"
 #include "image/editor.h"
 #include "image/image.h"
 #include "storage/catalog.h"
@@ -67,18 +66,18 @@ enum class QueryMethod {
   /// Bound-Widening Method: RBM plus the Main/Unclassified data structure
   /// ("with data structure").
   kBwm,
-  /// BWM with the binary-image side answered by one probe of the
-  /// histogram index's per-bin postings (the conventional access path of
-  /// Section 4's opening) instead of a linear histogram scan. Same result
-  /// sets as kBwm.
+  /// Kept for wire and CLI compatibility: runs kBwm's scan (same ids in
+  /// the same order, same counters) under its own span and metric
+  /// names. The histogram index over the binary images it was named for
+  /// (Section 4's conventional access path) never beat kBwm's base test.
   kBwmIndexed,
   /// RBM with the edited-image scan chunked across the database's
   /// persistent worker pool (beyond-paper). Same result sets — and the
   /// same result *order* — as kRbm.
   kParallelRbm,
   /// Cost-based planning (src/core/plan.h): selectivity-ordered
-  /// conjuncts, a per-predicate access-path choice calibrated from the
-  /// paper's Fig 3/4 crossover, and a driver-plus-residual-filter
+  /// conjuncts, the driver's access path (kRbm or kBwm) picked by a
+  /// Fig 3/4-calibrated cost model, and a driver-plus-residual-filter
   /// execution. Same result *sets* as kRbm / kBwm; result order follows
   /// the driving predicate's scan. Stays last (see `kQueryMethods`).
   kPlanned,
@@ -177,7 +176,7 @@ class MultimediaDatabase {
   /// |----------------|-------------------------------|---------------------|
   /// | kRbm           | flat                          | serial              |
   /// | kBwm           | Main clusters                 | serial              |
-  /// | kBwmIndexed    | Main clusters, postings probe | serial              |
+  /// | kBwmIndexed    | Main clusters (kBwm's scan)   | serial              |
   /// | kParallelRbm   | flat                          | chunked on the pool |
   ///
   /// Processors are cheap to build (one per query) and borrow this
@@ -223,9 +222,6 @@ class MultimediaDatabase {
   const RuleEngine& rule_engine() const { return rule_engine_; }
   const AugmentedCollection& collection() const { return collection_; }
   const BwmIndex& bwm_index() const { return bwm_index_; }
-  /// Per-bin postings over the binary images' histogram signatures, kept
-  /// in sync by inserts and deletes; drives `QueryMethod::kBwmIndexed`.
-  const HistogramIndex& histogram_index() const { return histogram_index_; }
   const ObjectStore& object_store() const { return *store_; }
 
   /// Resolver that loads (and instantiates, for edited ids) pixels from
@@ -289,8 +285,8 @@ class MultimediaDatabase {
   Result<ObjectId> InsertRow(CatalogRow row, const std::string& payload,
                              EditScript script);
   /// The one in-memory apply of a stored image, for inserts and reload:
-  /// the collection, the BWM index, the histogram index and the planner
-  /// epoch. `script` is an edited image's operations.
+  /// the collection, the BWM index and the planner epoch. `script` is an
+  /// edited image's operations.
   Status AddToMemory(const CatalogRow& row, EditScript script);
   Status ValidateScript(const EditScript& script) const;
 
@@ -317,7 +313,6 @@ class MultimediaDatabase {
   RuleEngine rule_engine_;
   AugmentedCollection collection_;
   BwmIndex bwm_index_;
-  HistogramIndex histogram_index_;
   CatalogMeta meta_;
 };
 

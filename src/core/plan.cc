@@ -1,7 +1,6 @@
 #include "core/plan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <numeric>
 #include <utility>
@@ -25,11 +24,8 @@ std::string Fixed(double value, int digits = 1) {
 /// The relative costs the planner charges, in units of one Table 1 rule
 /// application. The ratios are calibrated from the paper's Figures 3/4:
 /// instantiating an edited image costs orders of magnitude more than
-/// folding its rules; accepting a Main-cluster member is ~an order of
-/// magnitude cheaper than one rule fold; and an index probe pays a
-/// per-result overhead that a linear histogram scan beats once a
-/// predicate stops being selective (the conventional-vs-indexed
-/// crossover).
+/// folding its rules, and accepting a Main-cluster member is ~an order
+/// of magnitude cheaper than one rule fold.
 struct CostModel {
   /// One rule application during a BOUNDS fold.
   static constexpr double kRuleCost = 1.0;
@@ -37,11 +33,6 @@ struct CostModel {
   static constexpr double kHistogramProbe = 0.25;
   /// Accepting one Main-component member without touching its script.
   static constexpr double kClusterSkip = 0.05;
-  /// One step of a histogram index probe: a level of the postings
-  /// search, or one match copied out, sorted and looked up per cluster.
-  /// The value was fitted to the R-tree the postings replaced; re-fitting
-  /// it changes planned choices, so it waits for measured numbers.
-  static constexpr double kIndexNode = 2.0;
   /// Materializing one edited image (the kInstantiate baseline).
   static constexpr double kInstantiateFactor = 400.0;
   /// One exact residual-conjunct test on a driver survivor.
@@ -60,8 +51,8 @@ int BucketOf(double fraction) {
 /// earlier entry). kInstantiate is deliberately absent: its edited-image
 /// answers are exact rather than bounded, so choosing it would change
 /// the planned result set.
-constexpr QueryMethod kDriverCandidates[] = {
-    QueryMethod::kRbm, QueryMethod::kBwm, QueryMethod::kBwmIndexed};
+constexpr QueryMethod kDriverCandidates[] = {QueryMethod::kRbm,
+                                             QueryMethod::kBwm};
 
 }  // namespace
 
@@ -130,7 +121,7 @@ double CorpusStats::BucketMass(const Buckets& buckets, int64_t total,
 double CorpusStats::Selectivity(const RangeQuery& query,
                                 SelectivitySource* source) const {
   if (source != nullptr) {
-    *source = binary_count_ > 0 ? SelectivitySource::kIndex
+    *source = binary_count_ > 0 ? SelectivitySource::kExact
                                 : SelectivitySource::kSampled;
   }
   if (query.bin < 0 || query.bin >= bin_count()) return 1.0;
@@ -173,15 +164,8 @@ double QueryPlanner::MethodCost(QueryMethod method, double selectivity) const {
     case QueryMethod::kParallelRbm:
       return binary * CostModel::kHistogramProbe + edited_rbm;
     case QueryMethod::kBwm:
-      return binary * CostModel::kHistogramProbe + edited_bwm;
     case QueryMethod::kBwmIndexed:
-      // A postings search (log of the corpus) plus per-match work; the
-      // linear histogram scan wins this back once the predicate stops
-      // being selective — the conventional-vs-indexed crossover of
-      // Fig 3/4.
-      return CostModel::kIndexNode *
-                 (std::log2(binary + 2.0) + selectivity * binary) +
-             selectivity * binary * CostModel::kHistogramProbe + edited_bwm;
+      return binary * CostModel::kHistogramProbe + edited_bwm;
     case QueryMethod::kPlanned:
       break;
   }

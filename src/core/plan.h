@@ -17,16 +17,15 @@ struct QueryRequest;
 
 /// Where a selectivity estimate came from.
 enum class SelectivitySource {
-  /// Exact per-bin occupancy of every stored histogram (the same
-  /// signatures the histogram index's postings hold).
-  kIndex,
+  /// Exact per-bin occupancy of every stored binary histogram.
+  kExact,
   /// Fractions sampled from a bounded subset of edited images' base
   /// histograms.
   kSampled,
 };
 
 inline const char* SelectivitySourceName(SelectivitySource source) {
-  return source == SelectivitySource::kIndex ? "index" : "sampled";
+  return source == SelectivitySource::kExact ? "exact" : "sampled";
 }
 
 /// Corpus statistics the planner estimates selectivity from: per-bin
@@ -110,12 +109,12 @@ struct QueryPlan {
 
 /// The cost-based planner: estimates per-predicate selectivity from
 /// `CorpusStats`, orders conjuncts most-selective-first, and picks the
-/// driver's access method as the cheapest of the semantics-preserving
-/// candidates (kRbm / kBwm / kBwmIndexed — the conventional, clustered,
-/// and indexed compositions; kInstantiate is costed for comparison but
-/// never chosen, because its edited-image answers are exact rather than
-/// bounded and would change the result set). Costs come from the fixed,
-/// Fig 3/4-calibrated cost model in plan.cc.
+/// driver's access method as the cheaper of the semantics-preserving
+/// candidates (kRbm / kBwm — the conventional and clustered scans;
+/// kInstantiate is costed for comparison but never chosen, because its
+/// edited-image answers are exact rather than bounded and would change
+/// the result set). Costs come from the fixed, Fig 3/4-calibrated cost
+/// model in plan.cc.
 class QueryPlanner {
  public:
   explicit QueryPlanner(CorpusStats stats);

@@ -83,34 +83,16 @@ Status ScanQueryProcessor::WalkClusters(const ConjunctiveQuery& query,
                                         const EditedImageBounder& bounder,
                                         CancelCheck* check,
                                         QueryResult* result) const {
-  // One index probe answers a one-predicate base test for every cluster.
-  const bool probed =
-      settings_.probe != nullptr && ProbesIndex(query.conjuncts.size());
-  std::vector<ObjectId> satisfied;
-  if (probed) {
-    MMDB_ASSIGN_OR_RETURN(satisfied,
-                          settings_.probe->RangeSearch(query.conjuncts[0]));
-    result->stats.binary_images_checked =
-        static_cast<int64_t>(satisfied.size());
-    std::sort(satisfied.begin(), satisfied.end());
-  }
-
   for (const auto& [base_id, members] : settings_.clusters->main_map()) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, *result, check->Check()));
-    bool accept = false;
-    if (probed) {
-      accept = std::binary_search(satisfied.begin(), satisfied.end(), base_id);
-    } else {
-      const BinaryImageInfo* base = collection_->FindBinary(base_id);
-      if (base == nullptr) {
-        return Status::Corruption("BWM cluster references missing base " +
-                                  std::to_string(base_id));
-      }
-      ++result->stats.binary_images_checked;
-      accept = query.Satisfies(
-          [&](BinIndex bin) { return base->histogram.Fraction(bin); });
+    const BinaryImageInfo* base = collection_->FindBinary(base_id);
+    if (base == nullptr) {
+      return Status::Corruption("BWM cluster references missing base " +
+                                std::to_string(base_id));
     }
-    if (accept) {
+    ++result->stats.binary_images_checked;
+    if (query.Satisfies(
+            [&](BinIndex bin) { return base->histogram.Fraction(bin); })) {
       // Step 4.2: every member's range starts at the base's satisfying
       // value and can only widen, so the cluster is accepted unwalked.
       obs::Span accept_span(settings_.accept_span);

@@ -11,7 +11,6 @@
 #include "core/query.h"
 #include "core/query_processor.h"
 #include "core/rules.h"
-#include "index/histogram_index.h"
 #include "obs/trace.h"
 #include "util/result.h"
 
@@ -53,12 +52,6 @@ class EditedImageBounder {
   mutable RuleState state_;
 };
 
-/// Whether a clustered scan with a `ScanSettings::probe` answers the
-/// base test with one index probe (checking only the probe's matches)
-/// rather than testing every base: only a one-conjunct query probes. The
-/// shard coordinator's ghost compensation asks the same question.
-inline bool ProbesIndex(size_t conjunct_count) { return conjunct_count == 1; }
-
 /// How the scan kernel walks the corpus. Two settings pick the access
 /// path: `clusters` (clustered vs flat) and `chunks` (chunked vs serial);
 /// `MultimediaDatabase::MakeProcessor` maps each scan method onto them.
@@ -68,11 +61,6 @@ struct ScanSettings {
   /// Unclassified images. Null is flat mode (RBM): check every binary
   /// image, then bound every edited image.
   const BwmIndex* clusters = nullptr;
-  /// Clustered mode only: answers a one-conjunct base test for every
-  /// cluster with one range probe, and `binary_images_checked` counts
-  /// the probe's matches. Conjunctions test each base's histogram (see
-  /// `ProbesIndex`).
-  const HistogramIndex* probe = nullptr;
   /// Bounds the loose edited images in contiguous chunks on this pool
   /// (the calling thread takes chunks too); null bounds them serially.
   Executor* chunks = nullptr;

@@ -61,11 +61,6 @@
 #include "image/image.h"
 #include "image/ppm_io.h"
 
-// Feature extraction beyond color.
-#include "features/shape.h"
-#include "features/signature.h"
-#include "features/texture.h"
-
 // Synthetic datasets, augmentation recipes, and workloads.
 #include "datasets/augment.h"
 #include "datasets/generators.h"

@@ -2,8 +2,8 @@
 #define MMDB_MMDB_INTERNAL_H_
 
 /// Engine internals behind the public umbrella (`mmdb.h`): the concrete
-/// query processors and their support machinery, the index structures,
-/// the edit-script transforms, and the storage engine.
+/// query processors and their support machinery, the edit-script
+/// transforms, and the storage engine.
 ///
 /// These headers are stable enough to build the library's own tools,
 /// tests, and benchmarks, but they are not the supported application
@@ -14,8 +14,8 @@
 /// `QueryRequest` and return the same `QueryResult`.
 
 // The query processors and the machinery they share: the scan kernel
-// (RBM, BWM, indexed BWM and parallel RBM are settings of it), the
-// instantiate baseline, and the planner. Reach them through
+// (RBM, BWM and parallel RBM are settings of it), the instantiate
+// baseline, and the planner. Reach them through
 // `QueryService` / `MultimediaDatabase::RunRange` — direct construction
 // is deprecated as public API.
 #include "core/bounds.h"
@@ -26,9 +26,6 @@
 #include "core/query_processor.h"
 #include "core/rules.h"
 #include "core/scan.h"
-
-// Index structures.
-#include "index/histogram_index.h"
 
 // Edit-script internals: binary serialization, delta encoding, and the
 // script optimizer (the facade applies these on insert).

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "core/scan.h"
 #include "core/similarity.h"
 #include "obs/metrics.h"
 
@@ -347,19 +346,11 @@ Result<ShardedResult> Coordinator::Merge(const QueryRequest& request,
       if (a_edited != b_edited) return !a_edited;
       return a < b;
     });
-    const size_t before = ids.size();
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    const int64_t duplicates = static_cast<int64_t>(before - ids.size());
-    // Ghost compensation: a full binary scan touched every ghost copy
-    // once; an index probe touched only the ghosts that matched (they
-    // are exactly the duplicates the dedup removed). kPlanned mixes
-    // access paths per predicate, so its counters stay as summed.
-    const size_t conjuncts = request.conjunctive() != nullptr
-                                 ? request.conjunctive()->conjuncts.size()
-                                 : 1;
-    if (request.method == QueryMethod::kBwmIndexed && ProbesIndex(conjuncts)) {
-      stats.binary_images_checked -= duplicates;
-    } else if (request.method != QueryMethod::kPlanned) {
+    // Ghost compensation: every scan touched each ghost copy once.
+    // kPlanned mixes access paths per predicate, so its counters stay as
+    // summed.
+    if (request.method != QueryMethod::kPlanned) {
       stats.binary_images_checked -= ghost_total;
     }
     out.result.ids = std::move(ids);

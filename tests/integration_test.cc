@@ -3,7 +3,6 @@
 #include "core/database.h"
 #include "core/similarity.h"
 #include "datasets/augment.h"
-#include "index/histogram_index.h"
 #include "test_util.h"
 
 namespace mmdb {
@@ -65,27 +64,29 @@ TEST(IntegrationTest, ConventionalIndexAgreesWithProcessorsOnBinaries) {
   spec.seed = 103;
   ASSERT_TRUE(datasets::BuildAugmentedDatabase(db.get(), spec).ok());
 
-  // Index every binary image's signature in the per-bin postings.
-  HistogramIndex index(db->quantizer().BinCount());
-  for (ObjectId id : db->collection().binary_ids()) {
-    ASSERT_TRUE(
-        index.Insert(id, db->collection().FindBinary(id)->histogram).ok());
-  }
-
   Rng rng(107);
   const auto workload = datasets::MakeRangeWorkload(
       db->quantizer(), datasets::FlagPalette(), 8, rng);
   for (const RangeQuery& query : workload) {
-    const auto via_index = index.RangeSearch(query).value();
-    const auto via_rbm = db->RunRange(query, QueryMethod::kRbm).value();
-    // Binary matches from RBM == index hits.
-    std::set<ObjectId> rbm_binaries;
-    for (ObjectId id : via_rbm.ids) {
-      if (db->collection().FindBinary(id) != nullptr) {
-        rbm_binaries.insert(id);
+    // The conventional access path: each binary image's stored
+    // histogram answers the predicate exactly.
+    std::set<ObjectId> expected;
+    for (ObjectId id : db->collection().binary_ids()) {
+      if (query.Satisfies(
+              db->collection().FindBinary(id)->histogram.Fraction(query.bin))) {
+        expected.insert(id);
       }
     }
-    EXPECT_EQ(AsSet(via_index), rbm_binaries) << query.ToString();
+    for (QueryMethod method :
+         {QueryMethod::kRbm, QueryMethod::kBwm, QueryMethod::kBwmIndexed}) {
+      const QueryResult result = db->RunRange(query, method).value();
+      std::set<ObjectId> binaries;
+      for (ObjectId id : result.ids) {
+        if (db->collection().FindBinary(id) != nullptr) binaries.insert(id);
+      }
+      EXPECT_EQ(binaries, expected)
+          << QueryMethodName(method) << " " << query.ToString();
+    }
   }
 }
 

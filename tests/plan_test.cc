@@ -1,8 +1,7 @@
 // The query planner: selectivity estimation from corpus statistics, the
-// Fig 3/4-calibrated cost model and its conventional-vs-indexed
-// crossover, most-selective-first conjunct ordering, and the
-// kPlanned access path's driver-plus-residual-filter execution, which
-// must return the same result sets as the unplanned processors.
+// Fig 3/4-calibrated cost model, most-selective-first conjunct ordering,
+// and the kPlanned access path's driver-plus-residual-filter execution,
+// which must return the same result sets as the unplanned processors.
 
 #include "core/plan.h"
 
@@ -22,8 +21,7 @@ namespace mmdb {
 namespace {
 
 /// 2 solid-red images in a sea of 118 solid-blue: a red predicate is
-/// ~1.7% selective (well under the indexed crossover), a blue one ~98%
-/// (well over it).
+/// ~1.7% selective, a blue one ~98%.
 std::unique_ptr<MultimediaDatabase> MakeSkewedBinaryDataset() {
   auto db = MultimediaDatabase::Open().value();
   for (int i = 0; i < 118; ++i) {
@@ -69,7 +67,7 @@ TEST(CorpusStatsTest, SelectivityMatchesKnownOccupancy) {
   const double red = stats.Selectivity(
       AtLeast(db->BinOf(colors::kRed), 0.5), &source);
   EXPECT_NEAR(red, 2.0 / 120.0, 1e-9);
-  EXPECT_EQ(source, SelectivitySource::kIndex);
+  EXPECT_EQ(source, SelectivitySource::kExact);
 
   const double blue =
       stats.Selectivity(AtLeast(db->BinOf(colors::kBlue), 0.5), &source);
@@ -83,13 +81,12 @@ TEST(CorpusStatsTest, SelectivityMatchesKnownOccupancy) {
 TEST(QueryPlannerTest, CostModelCrossesOverAtSelectivity) {
   auto db = MakeSkewedBinaryDataset();
   const QueryPlanner planner(*db);
-  // Selective side of the Fig 3/4 crossover: the histogram index's
-  // probe overhead is cheaper than testing every stored histogram.
-  EXPECT_LT(planner.MethodCost(QueryMethod::kBwmIndexed, 0.01),
-            planner.MethodCost(QueryMethod::kRbm, 0.01));
-  // Broad side: per-result index visits lose to the linear scan.
-  EXPECT_GT(planner.MethodCost(QueryMethod::kBwmIndexed, 0.5),
-            planner.MethodCost(QueryMethod::kRbm, 0.5));
+  // kBwmIndexed runs kBwm's scan, so it costs what kBwm costs at any
+  // selectivity.
+  for (double s : {0.01, 0.5}) {
+    EXPECT_EQ(planner.MethodCost(QueryMethod::kBwmIndexed, s),
+              planner.MethodCost(QueryMethod::kBwm, s));
+  }
   // kInstantiate is the most expensive path whenever scripts exist.
   auto edited_db = MakeAugmentedDataset(40, 3301);
   const QueryPlanner edited_planner(*edited_db);
@@ -105,19 +102,26 @@ TEST(QueryPlannerTest, GoldenDriverMethodOnBothSidesOfTheCrossover) {
   auto db = MakeSkewedBinaryDataset();
   const QueryPlanner planner(*db);
 
-  // ~1.7% selective: the planner must reach for the histogram index.
+  // No scan's cost depends on selectivity, so a ~1.7% and a ~98%
+  // selective predicate plan the same driver. With no edited images RBM
+  // and BWM cost the same, and the tie goes to kRbm.
   const QueryPlan selective =
       planner.PlanRange(AtLeast(db->BinOf(colors::kRed), 0.5));
   ASSERT_EQ(selective.steps.size(), 1u);
-  EXPECT_EQ(selective.driver().method, QueryMethod::kBwmIndexed);
+  EXPECT_EQ(selective.driver().method, QueryMethod::kRbm);
   EXPECT_NEAR(selective.estimated_driver_results, 2.0, 1e-6);
 
-  // ~98% selective: a linear scan beats paying the index per result.
   const QueryPlan broad =
       planner.PlanRange(AtLeast(db->BinOf(colors::kBlue), 0.5));
   ASSERT_EQ(broad.steps.size(), 1u);
-  EXPECT_NE(broad.driver().method, QueryMethod::kBwmIndexed);
-  EXPECT_NE(broad.driver().method, QueryMethod::kInstantiate);
+  EXPECT_EQ(broad.driver().method, QueryMethod::kRbm);
+
+  // Main clusters make BWM the cheaper scan.
+  auto edited_db = MakeAugmentedDataset(40, 3301);
+  const QueryPlanner edited_planner(*edited_db);
+  ASSERT_GT(edited_planner.stats().main_fraction(), 0.0);
+  EXPECT_EQ(edited_planner.PlanRange(AtLeast(0, 0.5)).driver().method,
+            QueryMethod::kBwm);
 }
 
 TEST(QueryPlannerTest, ConjunctsAreOrderedMostSelectiveFirst) {
@@ -132,7 +136,7 @@ TEST(QueryPlannerTest, ConjunctsAreOrderedMostSelectiveFirst) {
   EXPECT_EQ(plan.steps[0].predicate.bin, db->BinOf(colors::kRed));
   EXPECT_EQ(plan.steps[1].predicate.bin, db->BinOf(colors::kBlue));
   EXPECT_LT(plan.steps[0].selectivity, plan.steps[1].selectivity);
-  EXPECT_EQ(plan.steps[0].method, QueryMethod::kBwmIndexed);
+  EXPECT_EQ(plan.steps[0].method, QueryMethod::kRbm);
 }
 
 TEST(PlannedProcessorTest, PlannedResultsAreSetEqualToUnplanned) {
@@ -204,7 +208,7 @@ TEST(ExplainQueryTest, RendersPlanFilterStepsAndMethodNote) {
   EXPECT_NE(planned->find("scan"), std::string::npos);
   EXPECT_NE(planned->find("filter"), std::string::npos);
   EXPECT_NE(planned->find("selectivity"), std::string::npos);
-  EXPECT_NE(planned->find("method bwm-indexed"), std::string::npos);
+  EXPECT_NE(planned->find("(exact) · method rbm"), std::string::npos);
   EXPECT_EQ(planned->find("note:"), std::string::npos);
 
   // A non-planned method gets the advisory note appended.

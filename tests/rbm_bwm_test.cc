@@ -90,11 +90,11 @@ TEST(BwmIndexTest, InsertionClassifiesPerFigure1) {
   unclassified.script.ops.emplace_back(merge);
   index.InsertEdited(unclassified);
 
-  const auto clusters = index.MainClusters();
+  const auto& clusters = index.main_map();
   ASSERT_EQ(clusters.size(), 2u);
-  EXPECT_EQ(clusters[0].base_id, 10u);
-  EXPECT_EQ(clusters[0].edited_ids, std::vector<ObjectId>{11});
-  EXPECT_TRUE(clusters[1].edited_ids.empty());
+  EXPECT_EQ(clusters.begin()->first, 10u);
+  EXPECT_EQ(clusters.at(10), std::vector<ObjectId>{11});
+  EXPECT_TRUE(clusters.at(20).empty());
   EXPECT_EQ(index.Unclassified(), std::vector<ObjectId>{12});
   EXPECT_EQ(index.MainEditedCount(), 1u);
 }
@@ -108,9 +108,9 @@ TEST(BwmIndexTest, ClusterIdsStaySorted) {
     info.script.base_id = 1;
     index.InsertEdited(info);
   }
-  const auto clusters = index.MainClusters();
+  const auto& clusters = index.main_map();
   ASSERT_EQ(clusters.size(), 1u);
-  EXPECT_EQ(clusters[0].edited_ids, (std::vector<ObjectId>{3, 5, 7, 9}));
+  EXPECT_EQ(clusters.at(1), (std::vector<ObjectId>{3, 5, 7, 9}));
 }
 
 TEST(BwmStatsTest, SkipsRulesWhenBaseSatisfies) {

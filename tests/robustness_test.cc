@@ -631,14 +631,13 @@ TEST(FsyncTest, JournalSyncFailureIsStickyDataLoss) {
   std::remove(path.c_str());
 }
 
-/// What the facade keeps in memory about its images: the collection, the
-/// BWM index and the histogram index.
+/// What the facade keeps in memory about its images: the collection and
+/// the BWM index.
 struct FacadeMemory {
   std::vector<ObjectId> binary_ids;
   std::vector<ObjectId> edited_ids;
   std::map<ObjectId, std::vector<ObjectId>> main_clusters;
   std::vector<ObjectId> unclassified;
-  std::vector<ObjectId> indexed;
   bool operator==(const FacadeMemory&) const = default;
 };
 
@@ -648,8 +647,6 @@ FacadeMemory SnapshotMemory(const MultimediaDatabase& db) {
   out.edited_ids = db.collection().edited_ids();
   out.main_clusters = db.bwm_index().main_map();
   out.unclassified = db.bwm_index().Unclassified();
-  out.indexed = db.histogram_index().RangeSearch(MatchAllQuery()).value();
-  std::sort(out.indexed.begin(), out.indexed.end());
   return out;
 }
 

@@ -160,22 +160,22 @@ TEST(ScanGoldenTest, HelmetCorpus) {
   ExpectRows(RunCorpus("helmet", datasets::DatasetKind::kHelmets, 1601), {
     "helmet q0 rbm: n=26 fnv=36ed877b602258a5 stats={13,32,0,192,0,0}",
     "helmet q0 bwm: n=26 fnv=5735b409fd86f765 stats={13,28,4,160,0,0}",
-    "helmet q0 bwm-indexed: n=26 fnv=5735b409fd86f765 stats={3,28,4,160,0,0}",
+    "helmet q0 bwm-indexed: n=26 fnv=5735b409fd86f765 stats={13,28,4,160,0,0}",
     "helmet q0 parallel-rbm: n=26 fnv=36ed877b602258a5 stats={13,32,0,192,0,0}",
     "helmet q0 planned: n=26 fnv=5735b409fd86f765 stats={13,28,4,160,0,0}",
     "helmet q1 rbm: n=25 fnv=d8a1ac63d6abc4eb stats={13,32,0,192,0,0}",
     "helmet q1 bwm: n=25 fnv=b6b956c2890b294b stats={13,28,4,160,0,0}",
-    "helmet q1 bwm-indexed: n=25 fnv=b6b956c2890b294b stats={2,28,4,160,0,0}",
+    "helmet q1 bwm-indexed: n=25 fnv=b6b956c2890b294b stats={13,28,4,160,0,0}",
     "helmet q1 parallel-rbm: n=25 fnv=d8a1ac63d6abc4eb stats={13,32,0,192,0,0}",
     "helmet q1 planned: n=25 fnv=b6b956c2890b294b stats={13,28,4,160,0,0}",
     "helmet q2 rbm: n=30 fnv=7ebdd8af653c2630 stats={13,32,0,192,0,0}",
     "helmet q2 bwm: n=30 fnv=8ef65dd2f2ada830 stats={13,24,8,137,0,0}",
-    "helmet q2 bwm-indexed: n=30 fnv=8ef65dd2f2ada830 stats={5,24,8,137,0,0}",
+    "helmet q2 bwm-indexed: n=30 fnv=8ef65dd2f2ada830 stats={13,24,8,137,0,0}",
     "helmet q2 parallel-rbm: n=30 fnv=7ebdd8af653c2630 stats={13,32,0,192,0,0}",
     "helmet q2 planned: n=30 fnv=8ef65dd2f2ada830 stats={13,24,8,137,0,0}",
     "helmet q3 rbm: n=22 fnv=8053e0ea257985ce stats={13,32,0,192,0,0}",
     "helmet q3 bwm: n=22 fnv=5b6e9045b91f3cae stats={13,30,2,178,0,0}",
-    "helmet q3 bwm-indexed: n=22 fnv=5b6e9045b91f3cae stats={2,30,2,178,0,0}",
+    "helmet q3 bwm-indexed: n=22 fnv=5b6e9045b91f3cae stats={13,30,2,178,0,0}",
     "helmet q3 parallel-rbm: n=22 fnv=8053e0ea257985ce stats={13,32,0,192,0,0}",
     "helmet q3 planned: n=22 fnv=5b6e9045b91f3cae stats={13,30,2,178,0,0}",
     "helmet q4 rbm: n=24 fnv=2c49b6dd92f8f595 stats={13,32,0,384,0,0}",
@@ -205,22 +205,22 @@ TEST(ScanGoldenTest, FlagCorpus) {
   ExpectRows(RunCorpus("flag", datasets::DatasetKind::kFlags, 1602), {
     "flag q0 rbm: n=28 fnv=5babc4f9f88850e3 stats={13,32,0,171,0,0}",
     "flag q0 bwm: n=28 fnv=753e10abc6af3a23 stats={13,32,0,171,0,0}",
-    "flag q0 bwm-indexed: n=28 fnv=753e10abc6af3a23 stats={2,32,0,171,0,0}",
+    "flag q0 bwm-indexed: n=28 fnv=753e10abc6af3a23 stats={13,32,0,171,0,0}",
     "flag q0 parallel-rbm: n=28 fnv=5babc4f9f88850e3 stats={13,32,0,171,0,0}",
     "flag q0 planned: n=28 fnv=753e10abc6af3a23 stats={13,32,0,171,0,0}",
     "flag q1 rbm: n=34 fnv=e7b583c39c74e83c stats={13,32,0,171,0,0}",
     "flag q1 bwm: n=34 fnv=05c48d109ccb3ffc stats={13,29,3,157,0,0}",
-    "flag q1 bwm-indexed: n=34 fnv=05c48d109ccb3ffc stats={5,29,3,157,0,0}",
+    "flag q1 bwm-indexed: n=34 fnv=05c48d109ccb3ffc stats={13,29,3,157,0,0}",
     "flag q1 parallel-rbm: n=34 fnv=e7b583c39c74e83c stats={13,32,0,171,0,0}",
     "flag q1 planned: n=34 fnv=05c48d109ccb3ffc stats={13,29,3,157,0,0}",
     "flag q2 rbm: n=25 fnv=b044764d42563126 stats={13,32,0,171,0,0}",
     "flag q2 bwm: n=25 fnv=64f0c09d733f5566 stats={13,28,4,141,0,0}",
-    "flag q2 bwm-indexed: n=25 fnv=64f0c09d733f5566 stats={2,28,4,141,0,0}",
+    "flag q2 bwm-indexed: n=25 fnv=64f0c09d733f5566 stats={13,28,4,141,0,0}",
     "flag q2 parallel-rbm: n=25 fnv=b044764d42563126 stats={13,32,0,171,0,0}",
     "flag q2 planned: n=25 fnv=64f0c09d733f5566 stats={13,28,4,141,0,0}",
     "flag q3 rbm: n=29 fnv=075c5354a8c3dce0 stats={13,32,0,171,0,0}",
     "flag q3 bwm: n=29 fnv=63d3e87e0c62d720 stats={13,28,4,141,0,0}",
-    "flag q3 bwm-indexed: n=29 fnv=63d3e87e0c62d720 stats={3,28,4,141,0,0}",
+    "flag q3 bwm-indexed: n=29 fnv=63d3e87e0c62d720 stats={13,28,4,141,0,0}",
     "flag q3 parallel-rbm: n=29 fnv=075c5354a8c3dce0 stats={13,32,0,171,0,0}",
     "flag q3 planned: n=29 fnv=63d3e87e0c62d720 stats={13,28,4,141,0,0}",
     "flag q4 rbm: n=25 fnv=48eeabcff8d85da1 stats={13,32,0,322,0,0}",
