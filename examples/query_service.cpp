@@ -1,6 +1,6 @@
 // Query service: the serving layer over the augmented database. Builds a
 // flag collection, then answers a whole batch of range, conjunctive
-// (hard-wired and cost-planned), and top-k similarity queries
+// (hard-wired and planned), and top-k similarity queries
 // concurrently on the service's persistent worker pool — with the
 // per-query answers identical (including order) to serial facade
 // dispatch — and prints the service's counter snapshot.
@@ -54,8 +54,9 @@ int main() {
   conjunctive.conjuncts.push_back(windows[1]);
   batch.push_back(mmdb::QueryRequest::Conjunctive(
       conjunctive, mmdb::QueryMethod::kBwmIndexed));
-  // kPlanned re-orders the conjuncts most-selective-first and picks the
-  // driver's access method from the cost model (docs/QUERYING.md §2).
+  // kPlanned orders the conjuncts most-selective-first and runs them as
+  // one conjunction through BWM's scan, or RBM's when no edited image is
+  // in a Main cluster (docs/QUERYING.md §2).
   batch.push_back(mmdb::QueryRequest::Conjunctive(
       conjunctive, mmdb::QueryMethod::kPlanned));
   // Top-k nearest-histogram search rides the same batch: exact distances

@@ -75,11 +75,11 @@ enum class QueryMethod {
   /// persistent worker pool (beyond-paper). Same result sets — and the
   /// same result *order* — as kRbm.
   kParallelRbm,
-  /// Cost-based planning (src/core/plan.h): selectivity-ordered
-  /// conjuncts, the driver's access path (kRbm or kBwm) picked by a
-  /// Fig 3/4-calibrated cost model, and a driver-plus-residual-filter
-  /// execution. Same result *sets* as kRbm / kBwm; result order follows
-  /// the driving predicate's scan. Stays last (see `kQueryMethods`).
+  /// Planned (src/core/plan.h): the conjuncts ordered most-selective-
+  /// first, run as one conjunction by kBwm's scan when the Main
+  /// component holds edited images, else by kRbm's. Same result *sets*
+  /// as kRbm / kBwm, in the chosen scan's walk order. Stays last (see
+  /// `kQueryMethods`).
   kPlanned,
 };
 
@@ -194,8 +194,10 @@ class MultimediaDatabase {
   /// (`QueryMethod::kPlanned`, `--explain`), collected lazily on first
   /// use and cached until the next insert or delete. Thread-safe; the
   /// returned snapshot stays valid after later mutations. Staleness only
-  /// skews cost estimates — the planned residual filter is exact — so a
-  /// reader racing a mutation at worst plans against the previous corpus.
+  /// skews the conjunct order (and with it `rules_applied`) and, when the
+  /// Main component's emptiness flips, which of two equal-set scans runs;
+  /// a reader racing a mutation at worst plans against the previous
+  /// corpus.
   std::shared_ptr<const CorpusStats> PlannerStats() const;
 
   /// The lazily started persistent worker pool shared by this database's

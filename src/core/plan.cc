@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <utility>
 
 #include "core/collection.h"
 #include "core/query_service.h"
-#include "core/scan.h"
-#include "core/similarity.h"
 
 namespace mmdb {
 
@@ -21,24 +18,6 @@ std::string Fixed(double value, int digits = 1) {
   return buffer;
 }
 
-/// The relative costs the planner charges, in units of one Table 1 rule
-/// application. The ratios are calibrated from the paper's Figures 3/4:
-/// instantiating an edited image costs orders of magnitude more than
-/// folding its rules, and accepting a Main-cluster member is ~an order
-/// of magnitude cheaper than one rule fold.
-struct CostModel {
-  /// One rule application during a BOUNDS fold.
-  static constexpr double kRuleCost = 1.0;
-  /// One stored-histogram fraction test (conventional binary scan).
-  static constexpr double kHistogramProbe = 0.25;
-  /// Accepting one Main-component member without touching its script.
-  static constexpr double kClusterSkip = 0.05;
-  /// Materializing one edited image (the kInstantiate baseline).
-  static constexpr double kInstantiateFactor = 400.0;
-  /// One exact residual-conjunct test on a driver survivor.
-  static constexpr double kResidualFilter = 0.25;
-};
-
 /// Edited images whose base histograms `CorpusStats::Collect` samples.
 constexpr int64_t kSampleLimit = 128;
 
@@ -46,13 +25,6 @@ int BucketOf(double fraction) {
   const int bucket = static_cast<int>(fraction * CorpusStats::kBuckets);
   return std::clamp(bucket, 0, CorpusStats::kBuckets - 1);
 }
-
-/// Driver candidates, cheapest-first on ties (strict `<` keeps the
-/// earlier entry). kInstantiate is deliberately absent: its edited-image
-/// answers are exact rather than bounded, so choosing it would change
-/// the planned result set.
-constexpr QueryMethod kDriverCandidates[] = {QueryMethod::kRbm,
-                                             QueryMethod::kBwm};
 
 }  // namespace
 
@@ -118,12 +90,7 @@ double CorpusStats::BucketMass(const Buckets& buckets, int64_t total,
   return mass / static_cast<double>(total);
 }
 
-double CorpusStats::Selectivity(const RangeQuery& query,
-                                SelectivitySource* source) const {
-  if (source != nullptr) {
-    *source = binary_count_ > 0 ? SelectivitySource::kExact
-                                : SelectivitySource::kSampled;
-  }
+double CorpusStats::Selectivity(const RangeQuery& query) const {
   if (query.bin < 0 || query.bin >= bin_count()) return 1.0;
   const size_t bin = static_cast<size_t>(query.bin);
   const double lo = query.min_fraction;
@@ -147,86 +114,24 @@ QueryPlanner::QueryPlanner(CorpusStats stats) : stats_(std::move(stats)) {}
 QueryPlanner::QueryPlanner(const MultimediaDatabase& db)
     : QueryPlanner(*db.PlannerStats()) {}
 
-double QueryPlanner::MethodCost(QueryMethod method, double selectivity) const {
-  const double binary = static_cast<double>(stats_.binary_count());
-  const double edited = static_cast<double>(stats_.edited_count());
-  const double avg_ops = stats_.avg_ops();
-  const double main = stats_.main_fraction();
-  const double edited_rbm = edited * avg_ops * CostModel::kRuleCost;
-  const double edited_bwm =
-      edited * (main * CostModel::kClusterSkip +
-                (1.0 - main) * avg_ops * CostModel::kRuleCost);
-  switch (method) {
-    case QueryMethod::kInstantiate:
-      return binary * CostModel::kHistogramProbe +
-             edited * CostModel::kInstantiateFactor;
-    case QueryMethod::kRbm:
-    case QueryMethod::kParallelRbm:
-      return binary * CostModel::kHistogramProbe + edited_rbm;
-    case QueryMethod::kBwm:
-    case QueryMethod::kBwmIndexed:
-      return binary * CostModel::kHistogramProbe + edited_bwm;
-    case QueryMethod::kPlanned:
-      break;
-  }
-  // kPlanned (or anything unknown) costs what its best candidate costs.
-  double best = MethodCost(kDriverCandidates[0], selectivity);
-  for (QueryMethod candidate : kDriverCandidates) {
-    best = std::min(best, MethodCost(candidate, selectivity));
-  }
-  return best;
-}
-
 QueryPlan QueryPlanner::PlanConjunctive(const ConjunctiveQuery& query) const {
   QueryPlan plan;
   plan.binary_count = stats_.binary_count();
   plan.edited_count = stats_.edited_count();
   plan.avg_ops = stats_.avg_ops();
   plan.main_fraction = stats_.main_fraction();
+  plan.method =
+      plan.main_fraction > 0.0 ? QueryMethod::kBwm : QueryMethod::kRbm;
 
   plan.steps.reserve(query.conjuncts.size());
   for (const RangeQuery& conjunct : query.conjuncts) {
-    PlannedPredicate step;
-    step.predicate = conjunct;
-    step.selectivity = stats_.Selectivity(conjunct, &step.source);
-    plan.steps.push_back(step);
+    plan.steps.push_back({conjunct, stats_.Selectivity(conjunct)});
   }
   // Most-selective-first; stable so equal estimates keep query order.
   std::stable_sort(plan.steps.begin(), plan.steps.end(),
                    [](const PlannedPredicate& a, const PlannedPredicate& b) {
                      return a.selectivity < b.selectivity;
                    });
-  if (plan.steps.empty()) return plan;
-
-  PlannedPredicate& driver = plan.steps.front();
-  driver.method = kDriverCandidates[0];
-  driver.estimated_cost = MethodCost(driver.method, driver.selectivity);
-  for (QueryMethod candidate : kDriverCandidates) {
-    const double cost = MethodCost(candidate, driver.selectivity);
-    if (cost < driver.estimated_cost) {
-      driver.method = candidate;
-      driver.estimated_cost = cost;
-    }
-  }
-
-  const double population =
-      static_cast<double>(plan.binary_count + plan.edited_count);
-  plan.estimated_driver_results = driver.selectivity * population;
-  double survivors = plan.estimated_driver_results;
-  const double binary_share =
-      population > 0.0
-          ? static_cast<double>(plan.binary_count) / population
-          : 0.0;
-  for (size_t i = 1; i < plan.steps.size(); ++i) {
-    PlannedPredicate& step = plan.steps[i];
-    step.method = driver.method;  // Residuals ride the driver's scan.
-    const double surviving_binary = survivors * binary_share;
-    const double surviving_edited = survivors * (1.0 - binary_share);
-    step.estimated_cost =
-        surviving_binary * CostModel::kResidualFilter +
-        surviving_edited * plan.avg_ops * CostModel::kRuleCost;
-    survivors *= step.selectivity;
-  }
   return plan;
 }
 
@@ -242,22 +147,13 @@ std::string QueryPlan::Explain() const {
                     " over " + std::to_string(binary_count) + " binary + " +
                     std::to_string(edited_count) + " edited images, avg " +
                     Fixed(avg_ops) + " ops/script, " +
-                    Fixed(main_fraction * 100.0) + "% Main)\n";
+                    Fixed(main_fraction * 100.0) + "% Main) · method " +
+                    std::string(QueryMethodName(method)) + "\n";
   for (size_t i = 0; i < steps.size(); ++i) {
-    const PlannedPredicate& step = steps[i];
-    out += "  step " + std::to_string(i + 1) + ": " +
-           (i == 0 ? "scan   " : "filter ") + step.predicate.ToString() +
-           "\n";
-    out += "          selectivity " + Fixed(step.selectivity, 4) + " (" +
-           SelectivitySourceName(step.source) + ")";
-    if (i == 0) {
-      out += " · method " + std::string(QueryMethodName(step.method));
-    }
-    out += " · est. cost " + Fixed(step.estimated_cost) + "\n";
+    out += "  conjunct " + std::to_string(i + 1) + ": " +
+           steps[i].predicate.ToString() + " · selectivity " +
+           Fixed(steps[i].selectivity, 4) + "\n";
   }
-  out += "  estimated driver survivors: " +
-         Fixed(estimated_driver_results) + " of " +
-         std::to_string(binary_count + edited_count) + "\n";
   return out;
 }
 
@@ -270,43 +166,14 @@ Result<QueryResult> PlannedQueryProcessor::RunConjunctive(
     return Status::InvalidArgument("conjunctive query has no conjuncts");
   }
   const QueryPlan plan = planner_.PlanConjunctive(query);
-  MMDB_ASSIGN_OR_RETURN(std::unique_ptr<QueryProcessor> processor,
-                        db_->MakeProcessor(plan.driver().method));
-  MMDB_ASSIGN_OR_RETURN(
-      QueryResult driven,
-      processor->RunRange(plan.driver().predicate, ctx));
-  if (plan.steps.size() == 1) return driven;
-
-  // Residual filter over the driver's survivors: exact fractions for
-  // binary images, the scan kernel's per-image rule fold for edited ones,
-  // so the planned result set equals the unplanned one.
-  ConjunctiveQuery residual;
-  for (size_t i = 1; i < plan.steps.size(); ++i) {
-    residual.conjuncts.push_back(plan.steps[i].predicate);
+  ConjunctiveQuery ordered;
+  ordered.conjuncts.reserve(plan.steps.size());
+  for (const PlannedPredicate& step : plan.steps) {
+    ordered.conjuncts.push_back(step.predicate);
   }
-  CancelCheck check(ctx);
-  const AugmentedCollection& collection = db_->collection();
-  const EditedImageBounder bounder(collection, db_->rule_engine());
-  QueryResult out;
-  out.stats = driven.stats;
-  for (ObjectId id : driven.ids) {
-    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, out, check.Check()));
-    if (const BinaryImageInfo* binary = collection.FindBinary(id)) {
-      ++out.stats.binary_images_checked;
-      if (residual.Satisfies(
-              [&](BinIndex bin) { return binary->histogram.Fraction(bin); })) {
-        out.ids.push_back(id);
-      }
-      continue;
-    }
-    const EditedImageInfo* edited = collection.FindEdited(id);
-    if (edited == nullptr) continue;  // Deleted between scan and filter.
-    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(
-        ctx, out,
-        bounder.Bound(*edited, residual.conjuncts, check.enabled_or_null(),
-                      &out)));
-  }
-  return out;
+  MMDB_ASSIGN_OR_RETURN(std::unique_ptr<QueryProcessor> scan,
+                        db_->MakeProcessor(plan.method));
+  return scan->RunConjunctive(ordered, ctx);
 }
 
 Result<std::string> ExplainQuery(const MultimediaDatabase& db,

@@ -23,8 +23,7 @@ namespace mmdb {
 /// `edited_images_bounded` and `rules_applied`; and keeps the id when
 /// every conjunct's bounds overlap. An image is dropped only when some
 /// conjunct provably fails, so there are no false negatives. The scan
-/// kernel calls it for every edited image it does not accept wholesale,
-/// and the planner calls it for its residual conjuncts.
+/// kernel calls it for every edited image it does not accept wholesale.
 class EditedImageBounder {
  public:
   /// Both referents must outlive the bounder. The bounder owns a
@@ -72,11 +71,12 @@ struct ScanSettings {
 };
 
 /// The one scan kernel (paper Section 4.2, Fig. 2) behind kRbm, kBwm,
-/// kBwmIndexed and kParallelRbm; RBM is the same loop with an empty Main
-/// component. It first walks the binary side (Main clusters or the flat
-/// binary list), then bounds the loose edited images. Results come in
-/// walk order, which chunking preserves (chunks are concatenated in
-/// order). Every mode returns the same result *set*.
+/// kBwmIndexed and kParallelRbm; kPlanned runs its reordered
+/// conjunction through kBwm's or kRbm's settings. RBM is the same loop
+/// with an empty Main component. It first walks the binary side (Main
+/// clusters or the flat binary list), then bounds the loose edited
+/// images. Results come in walk order, which chunking preserves (chunks
+/// are concatenated in order). Every mode returns the same result *set*.
 ///
 /// Checks `ctx`'s limits per binary image or cluster, per bounded image
 /// and per rule; an interrupt returns DeadlineExceeded / Cancelled with

@@ -336,10 +336,11 @@ Result<ShardedResult> Coordinator::Merge(const QueryRequest& request,
       ids.insert(ids.end(), shard_ids.begin(), shard_ids.end());
     }
     // Canonical single-store order: binary images ascending, then edited
-    // ascending — exactly the RBM/BWM emission order (the collection
-    // scans insertion order, and sequential ids make insertion order id
-    // order). kPlanned promises set identity only, same as the single
-    // store's own contract.
+    // ascending. That is the flat scans' emission order (kInstantiate,
+    // kRbm, kParallelRbm walk insertion order, and sequential ids make
+    // insertion order id order). BWM emits in cluster order, which the
+    // per-shard streams cannot rebuild, so the BWM family and kPlanned
+    // get the same set in this order.
     std::sort(ids.begin(), ids.end(), [this](ObjectId a, ObjectId b) {
       const bool a_edited = catalog_->IsEdited(a);
       const bool b_edited = catalog_->IsEdited(b);
@@ -347,12 +348,8 @@ Result<ShardedResult> Coordinator::Merge(const QueryRequest& request,
       return a < b;
     });
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    // Ghost compensation: every scan touched each ghost copy once.
-    // kPlanned mixes access paths per predicate, so its counters stay as
-    // summed.
-    if (request.method != QueryMethod::kPlanned) {
-      stats.binary_images_checked -= ghost_total;
-    }
+    // Ghost compensation: every scan checked each ghost copy once.
+    stats.binary_images_checked -= ghost_total;
     out.result.ids = std::move(ids);
     out.result.stats = stats;
     return out;

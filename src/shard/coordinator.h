@@ -57,10 +57,12 @@ struct ShardedResult {
 ///
 ///  * ids are deduplicated (ghost Merge-target copies answer on two
 ///    shards) and emitted in the canonical single-store order — binary
-///    images ascending, then edited ascending (`kPlanned` guarantees
-///    set identity only, like the single store itself).
+///    images ascending, then edited ascending. That is the flat scans'
+///    order; the BWM family and `kPlanned` get the same set.
 ///  * work counters are summed, then compensated for ghost double
-///    scanning (see `MergeStatsCompensation` in the .cc).
+///    scanning (`Merge` in the .cc). For `kPlanned` they equal the
+///    single store's, except `rules_applied`, which follows each shard's
+///    own conjunct order.
 ///  * a similarity query runs with per-shard k inflated by the shard's
 ///    ghost count, and the single store's top-k rule (`TopKCandidates`)
 ///    is applied to the deduplicated candidates — bit-identical

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <tuple>
-
 #include "core/database.h"
 #include "datasets/augment.h"
 #include "test_util.h"
@@ -9,17 +7,9 @@
 namespace mmdb {
 namespace {
 
+using mmdb::testing::AnswerOf;
 using mmdb::testing::AsSet;
 using mmdb::testing::TempPath;
-
-/// A scan's whole answer: its ordered ids and all six work counters.
-auto Answer(const QueryResult& result) {
-  const QueryStats& s = result.stats;
-  return std::make_tuple(result.ids, s.binary_images_checked,
-                         s.edited_images_bounded, s.edited_images_skipped,
-                         s.rules_applied, s.images_instantiated,
-                         s.corrupt_images_skipped);
-}
 
 class IndexedBwmEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
@@ -40,7 +30,7 @@ TEST_P(IndexedBwmEquivalence, IdenticalResultSetsToPlainBwm) {
     const auto bwm = db->RunRange(query, QueryMethod::kBwm).value();
     const auto indexed =
         db->RunRange(query, QueryMethod::kBwmIndexed).value();
-    EXPECT_EQ(Answer(bwm), Answer(indexed)) << query.ToString();
+    EXPECT_EQ(AnswerOf(bwm), AnswerOf(indexed)) << query.ToString();
   }
   for (size_t i = 0; i + 2 < workload.size(); ++i) {
     for (const ConjunctiveQuery& query :
@@ -49,7 +39,7 @@ TEST_P(IndexedBwmEquivalence, IdenticalResultSetsToPlainBwm) {
       const auto bwm = db->RunConjunctive(query, QueryMethod::kBwm).value();
       const auto indexed =
           db->RunConjunctive(query, QueryMethod::kBwmIndexed).value();
-      EXPECT_EQ(Answer(bwm), Answer(indexed)) << query.ToString();
+      EXPECT_EQ(AnswerOf(bwm), AnswerOf(indexed)) << query.ToString();
     }
   }
 }

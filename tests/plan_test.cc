@@ -1,7 +1,8 @@
-// The query planner: selectivity estimation from corpus statistics, the
-// Fig 3/4-calibrated cost model, most-selective-first conjunct ordering,
-// and the kPlanned access path's driver-plus-residual-filter execution,
-// which must return the same result sets as the unplanned processors.
+// The query planner: selectivity estimation from corpus statistics,
+// most-selective-first conjunct ordering, the scan choice (kBwm when the
+// Main component holds edited images, else kRbm), and the kPlanned
+// access path, which runs the reordered conjunction through that one
+// scan and so returns the same result sets as the unplanned processors.
 
 #include "core/plan.h"
 
@@ -63,14 +64,11 @@ TEST(CorpusStatsTest, SelectivityMatchesKnownOccupancy) {
   EXPECT_EQ(stats.binary_count(), 120);
   EXPECT_EQ(stats.edited_count(), 0);
 
-  SelectivitySource source = SelectivitySource::kSampled;
-  const double red = stats.Selectivity(
-      AtLeast(db->BinOf(colors::kRed), 0.5), &source);
+  const double red = stats.Selectivity(AtLeast(db->BinOf(colors::kRed), 0.5));
   EXPECT_NEAR(red, 2.0 / 120.0, 1e-9);
-  EXPECT_EQ(source, SelectivitySource::kExact);
 
   const double blue =
-      stats.Selectivity(AtLeast(db->BinOf(colors::kBlue), 0.5), &source);
+      stats.Selectivity(AtLeast(db->BinOf(colors::kBlue), 0.5));
   EXPECT_NEAR(blue, 118.0 / 120.0, 1e-9);
 
   // A full-range predicate matches everything.
@@ -78,49 +76,29 @@ TEST(CorpusStatsTest, SelectivityMatchesKnownOccupancy) {
               1.0, 1e-9);
 }
 
-TEST(QueryPlannerTest, CostModelCrossesOverAtSelectivity) {
-  auto db = MakeSkewedBinaryDataset();
-  const QueryPlanner planner(*db);
-  // kBwmIndexed runs kBwm's scan, so it costs what kBwm costs at any
-  // selectivity.
-  for (double s : {0.01, 0.5}) {
-    EXPECT_EQ(planner.MethodCost(QueryMethod::kBwmIndexed, s),
-              planner.MethodCost(QueryMethod::kBwm, s));
-  }
-  // kInstantiate is the most expensive path whenever scripts exist.
-  auto edited_db = MakeAugmentedDataset(40, 3301);
-  const QueryPlanner edited_planner(*edited_db);
-  for (double s : {0.01, 0.25, 0.9}) {
-    EXPECT_GT(edited_planner.MethodCost(QueryMethod::kInstantiate, s),
-              edited_planner.MethodCost(QueryMethod::kRbm, s));
-    EXPECT_GT(edited_planner.MethodCost(QueryMethod::kInstantiate, s),
-              edited_planner.MethodCost(QueryMethod::kBwm, s));
-  }
-}
-
-TEST(QueryPlannerTest, GoldenDriverMethodOnBothSidesOfTheCrossover) {
+TEST(QueryPlannerTest, GoldenMethodFollowsTheMainComponent) {
   auto db = MakeSkewedBinaryDataset();
   const QueryPlanner planner(*db);
 
-  // No scan's cost depends on selectivity, so a ~1.7% and a ~98%
-  // selective predicate plan the same driver. With no edited images RBM
-  // and BWM cost the same, and the tie goes to kRbm.
+  // The scan does not depend on selectivity: a ~1.7% and a ~98%
+  // selective predicate plan the same one. Without Main members kBwm
+  // and kRbm do the same work, and the plan names kRbm.
   const QueryPlan selective =
       planner.PlanRange(AtLeast(db->BinOf(colors::kRed), 0.5));
   ASSERT_EQ(selective.steps.size(), 1u);
-  EXPECT_EQ(selective.driver().method, QueryMethod::kRbm);
-  EXPECT_NEAR(selective.estimated_driver_results, 2.0, 1e-6);
+  EXPECT_EQ(selective.method, QueryMethod::kRbm);
 
   const QueryPlan broad =
       planner.PlanRange(AtLeast(db->BinOf(colors::kBlue), 0.5));
   ASSERT_EQ(broad.steps.size(), 1u);
-  EXPECT_EQ(broad.driver().method, QueryMethod::kRbm);
+  EXPECT_EQ(broad.method, QueryMethod::kRbm);
 
-  // Main clusters make BWM the cheaper scan.
+  // Main clusters make kBwm the scan: it accepts them without a rule
+  // fold.
   auto edited_db = MakeAugmentedDataset(40, 3301);
   const QueryPlanner edited_planner(*edited_db);
   ASSERT_GT(edited_planner.stats().main_fraction(), 0.0);
-  EXPECT_EQ(edited_planner.PlanRange(AtLeast(0, 0.5)).driver().method,
+  EXPECT_EQ(edited_planner.PlanRange(AtLeast(0, 0.5)).method,
             QueryMethod::kBwm);
 }
 
@@ -132,11 +110,11 @@ TEST(QueryPlannerTest, ConjunctsAreOrderedMostSelectiveFirst) {
   query.conjuncts.push_back(AtLeast(db->BinOf(colors::kRed), 0.5));
   const QueryPlan plan = planner.PlanConjunctive(query);
   ASSERT_EQ(plan.steps.size(), 2u);
-  // The red predicate (2/120) drives; the blue one filters.
+  // The red predicate (2/120) is tested first, the blue one second.
   EXPECT_EQ(plan.steps[0].predicate.bin, db->BinOf(colors::kRed));
   EXPECT_EQ(plan.steps[1].predicate.bin, db->BinOf(colors::kBlue));
   EXPECT_LT(plan.steps[0].selectivity, plan.steps[1].selectivity);
-  EXPECT_EQ(plan.steps[0].method, QueryMethod::kRbm);
+  EXPECT_EQ(plan.method, QueryMethod::kRbm);
 }
 
 TEST(PlannedProcessorTest, PlannedResultsAreSetEqualToUnplanned) {
@@ -157,12 +135,12 @@ TEST(PlannedProcessorTest, PlannedResultsAreSetEqualToUnplanned) {
     ASSERT_TRUE(planned.ok()) << planned.status().ToString();
     ASSERT_TRUE(rbm.ok());
     ASSERT_TRUE(bwm.ok());
-    // Same sets; order follows the planned driver's scan.
+    // Same sets; order follows the plan's scan.
     EXPECT_EQ(Sorted(planned->ids), Sorted(rbm->ids)) << query.ToString();
     EXPECT_EQ(Sorted(planned->ids), Sorted(bwm->ids)) << query.ToString();
   }
 
-  // Single-predicate requests route straight through the chosen driver.
+  // Single-predicate requests run the plan's scan on the one predicate.
   for (const RangeQuery& window : windows) {
     const auto planned = db->RunRange(window, QueryMethod::kPlanned);
     const auto rbm = db->RunRange(window, QueryMethod::kRbm);
@@ -171,6 +149,81 @@ TEST(PlannedProcessorTest, PlannedResultsAreSetEqualToUnplanned) {
     EXPECT_EQ(Sorted(planned->ids), Sorted(rbm->ids)) << window.ToString();
   }
 }
+
+/// A corpus shape the scan choice branches on.
+struct SweepCorpus {
+  const char* name;
+  double edited_fraction;
+  double widening_probability;
+  QueryMethod method;  // The scan the plan must pick.
+};
+
+constexpr SweepCorpus kSweepCorpora[] = {
+    // Main clusters next to Unclassified images.
+    {"mixed", 0.7, 0.6, QueryMethod::kBwm},
+    // Only non-widening scripts: the Main component is empty.
+    {"non-widening", 0.7, 0.0, QueryMethod::kRbm},
+    // No edited image at all.
+    {"binary-only", 0.0, 0.0, QueryMethod::kRbm},
+};
+
+class PlannedScanEquivalence : public ::testing::TestWithParam<uint64_t> {};
+
+// kPlanned is the plan's scan run on the plan's conjunct order: the same
+// ids in the same order and all six counters. Its set is kRbm's on the
+// query as written.
+TEST_P(PlannedScanEquivalence, RunsThePlannedOrderThroughOneScan) {
+  for (const SweepCorpus& corpus : kSweepCorpora) {
+    SCOPED_TRACE(corpus.name);
+    auto db = MultimediaDatabase::Open().value();
+    datasets::DatasetSpec spec;
+    spec.total_images = 60;
+    spec.edited_fraction = corpus.edited_fraction;
+    spec.widening_probability = corpus.widening_probability;
+    spec.seed = GetParam();
+    ASSERT_TRUE(datasets::BuildAugmentedDatabase(db.get(), spec).ok());
+    const QueryPlanner planner(*db);
+
+    Rng rng(GetParam() * 13 + 5);
+    const auto windows = datasets::MakeGroundedRangeWorkload(
+        db->collection(), db->quantizer(), datasets::FlagPalette(), 12, rng);
+    ASSERT_FALSE(windows.empty());
+    for (int round = 0; round < 16; ++round) {
+      // Each conjunct is a grounded window or a uniform one.
+      ConjunctiveQuery query;
+      const int64_t conjuncts = rng.UniformInt(1, 3);
+      for (int64_t i = 0; i < conjuncts; ++i) {
+        if (rng.Bernoulli(0.5)) {
+          query.conjuncts.push_back(windows[rng.Uniform(windows.size())]);
+        } else {
+          RangeQuery window;
+          window.bin = static_cast<BinIndex>(
+              rng.Uniform(static_cast<uint64_t>(db->quantizer().BinCount())));
+          window.min_fraction = rng.UniformDouble(0.0, 0.5);
+          window.max_fraction = rng.UniformDouble(window.min_fraction, 1.0);
+          query.conjuncts.push_back(window);
+        }
+      }
+      const QueryPlan plan = planner.PlanConjunctive(query);
+      EXPECT_EQ(plan.method, corpus.method);
+      ConjunctiveQuery ordered;
+      for (const PlannedPredicate& step : plan.steps) {
+        ordered.conjuncts.push_back(step.predicate);
+      }
+      const auto scan = db->MakeProcessor(plan.method).value();
+      const auto expected = scan->RunConjunctive(ordered, {}).value();
+      const auto planned =
+          db->RunConjunctive(query, QueryMethod::kPlanned).value();
+      const auto rbm = db->RunConjunctive(query, QueryMethod::kRbm).value();
+      EXPECT_EQ(testing::AnswerOf(planned), testing::AnswerOf(expected))
+          << query.ToString();
+      EXPECT_EQ(Sorted(planned.ids), Sorted(rbm.ids)) << query.ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedSweep, PlannedScanEquivalence,
+                         ::testing::Range(uint64_t{1}, uint64_t{6}));
 
 TEST(PlannedProcessorTest, EmptyConjunctionIsRejected) {
   auto db = MakeAugmentedDataset(10, 3307);
@@ -195,20 +248,29 @@ TEST(PlannedProcessorTest, ServiceExecutesPlannedRequests) {
   EXPECT_EQ(snapshot.queries_per_method.at(QueryMethod::kPlanned), 1);
 }
 
-TEST(ExplainQueryTest, RendersPlanFilterStepsAndMethodNote) {
+TEST(ExplainQueryTest, RendersConjunctsInEvaluationOrderAndMethodNote) {
   auto db = MakeSkewedBinaryDataset();
+  const RangeQuery blue = AtLeast(db->BinOf(colors::kBlue), 0.5);
+  const RangeQuery red = AtLeast(db->BinOf(colors::kRed), 0.5);
   ConjunctiveQuery query;
-  query.conjuncts.push_back(AtLeast(db->BinOf(colors::kBlue), 0.5));
-  query.conjuncts.push_back(AtLeast(db->BinOf(colors::kRed), 0.5));
+  query.conjuncts.push_back(blue);
+  query.conjuncts.push_back(red);
 
   const auto planned = ExplainQuery(
       *db, QueryRequest::Conjunctive(query, QueryMethod::kPlanned));
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   EXPECT_NE(planned->find("query plan (2 predicates"), std::string::npos);
-  EXPECT_NE(planned->find("scan"), std::string::npos);
-  EXPECT_NE(planned->find("filter"), std::string::npos);
-  EXPECT_NE(planned->find("selectivity"), std::string::npos);
-  EXPECT_NE(planned->find("(exact) · method rbm"), std::string::npos);
+  EXPECT_NE(planned->find("% Main) · method rbm\n"), std::string::npos);
+  // Each conjunct in evaluation order, with its selectivity: the rare
+  // red predicate first.
+  const size_t first = planned->find("  conjunct 1: " + red.ToString() +
+                                     " · selectivity 0.0167\n");
+  const size_t second = planned->find("  conjunct 2: " + blue.ToString() +
+                                      " · selectivity 0.9833\n");
+  EXPECT_NE(first, std::string::npos) << *planned;
+  EXPECT_NE(second, std::string::npos) << *planned;
+  EXPECT_LT(first, second);
+  EXPECT_EQ(planned->find("cost"), std::string::npos);
   EXPECT_EQ(planned->find("note:"), std::string::npos);
 
   // A non-planned method gets the advisory note appended.

@@ -182,22 +182,22 @@ TEST(ScanGoldenTest, HelmetCorpus) {
     "helmet q4 bwm: n=24 fnv=68e0cb960acd5675 stats={13,28,4,320,0,0}",
     "helmet q4 bwm-indexed: n=24 fnv=68e0cb960acd5675 stats={13,28,4,320,0,0}",
     "helmet q4 parallel-rbm: n=24 fnv=2c49b6dd92f8f595 stats={13,32,0,384,0,0}",
-    "helmet q4 planned: n=24 fnv=68e0cb960acd5675 stats={15,50,4,299,0,0}",
+    "helmet q4 planned: n=24 fnv=68e0cb960acd5675 stats={13,28,4,267,0,0}",
     "helmet q5 rbm: n=43 fnv=453729c044a8dfbf stats={13,32,0,384,0,0}",
     "helmet q5 bwm: n=43 fnv=1682926965acd8bf stats={13,16,16,160,0,0}",
     "helmet q5 bwm-indexed: n=43 fnv=1682926965acd8bf stats={13,16,16,160,0,0}",
     "helmet q5 parallel-rbm: n=43 fnv=453729c044a8dfbf stats={13,32,0,384,0,0}",
-    "helmet q5 planned: n=43 fnv=1682926965acd8bf stats={24,48,16,272,0,0}",
+    "helmet q5 planned: n=43 fnv=1682926965acd8bf stats={13,16,16,160,0,0}",
     "helmet q6 rbm: n=24 fnv=2c49b6dd92f8f595 stats={13,32,0,479,0,0}",
     "helmet q6 bwm: n=24 fnv=68e0cb960acd5675 stats={13,28,4,383,0,0}",
     "helmet q6 bwm-indexed: n=24 fnv=68e0cb960acd5675 stats={13,28,4,383,0,0}",
     "helmet q6 parallel-rbm: n=24 fnv=2c49b6dd92f8f595 stats={13,32,0,479,0,0}",
-    "helmet q6 planned: n=24 fnv=68e0cb960acd5675 stats={15,50,4,438,0,0}",
+    "helmet q6 planned: n=24 fnv=68e0cb960acd5675 stats={13,28,4,374,0,0}",
     "helmet q7 rbm: n=19 fnv=4d58191794830010 stats={13,32,0,470,0,0}",
     "helmet q7 bwm: n=19 fnv=385f7ea33fad9e50 stats={13,32,0,470,0,0}",
     "helmet q7 bwm-indexed: n=19 fnv=385f7ea33fad9e50 stats={13,32,0,470,0,0}",
     "helmet q7 parallel-rbm: n=19 fnv=4d58191794830010 stats={13,32,0,470,0,0}",
-    "helmet q7 planned: n=19 fnv=385f7ea33fad9e50 stats={15,50,2,440,0,0}",
+    "helmet q7 planned: n=19 fnv=385f7ea33fad9e50 stats={13,32,0,454,0,0}",
   });
 }
 
@@ -227,22 +227,22 @@ TEST(ScanGoldenTest, FlagCorpus) {
     "flag q4 bwm: n=25 fnv=c349c0b9b51b7661 stats={13,24,8,226,0,0}",
     "flag q4 bwm-indexed: n=25 fnv=c349c0b9b51b7661 stats={13,24,8,226,0,0}",
     "flag q4 parallel-rbm: n=25 fnv=48eeabcff8d85da1 stats={13,32,0,322,0,0}",
-    "flag q4 planned: n=25 fnv=c349c0b9b51b7661 stats={14,48,8,259,0,0}",
+    "flag q4 planned: n=25 fnv=c349c0b9b51b7661 stats={13,24,8,211,0,0}",
     "flag q5 rbm: n=21 fnv=f0206f524b3cde60 stats={13,32,0,307,0,0}",
     "flag q5 bwm: n=21 fnv=dde712423bf3b1a0 stats={13,32,0,307,0,0}",
     "flag q5 bwm-indexed: n=21 fnv=dde712423bf3b1a0 stats={13,32,0,307,0,0}",
     "flag q5 parallel-rbm: n=21 fnv=f0206f524b3cde60 stats={13,32,0,307,0,0}",
-    "flag q5 planned: n=21 fnv=dde712423bf3b1a0 stats={13,55,0,307,0,0}",
+    "flag q5 planned: n=21 fnv=dde712423bf3b1a0 stats={13,32,0,307,0,0}",
     "flag q6 rbm: n=20 fnv=32c2dc8279072f35 stats={13,32,0,446,0,0}",
     "flag q6 bwm: n=20 fnv=e25a2371cbee0755 stats={13,32,0,446,0,0}",
     "flag q6 bwm-indexed: n=20 fnv=e25a2371cbee0755 stats={13,32,0,446,0,0}",
     "flag q6 parallel-rbm: n=20 fnv=32c2dc8279072f35 stats={13,32,0,446,0,0}",
-    "flag q6 planned: n=20 fnv=e25a2371cbee0755 stats={13,55,0,431,0,0}",
+    "flag q6 planned: n=20 fnv=e25a2371cbee0755 stats={13,32,0,431,0,0}",
     "flag q7 rbm: n=20 fnv=495139238ef7dd64 stats={13,32,0,464,0,0}",
     "flag q7 bwm: n=20 fnv=dc07605be8fe65a4 stats={13,32,0,464,0,0}",
     "flag q7 bwm-indexed: n=20 fnv=dc07605be8fe65a4 stats={13,32,0,464,0,0}",
     "flag q7 parallel-rbm: n=20 fnv=495139238ef7dd64 stats={13,32,0,464,0,0}",
-    "flag q7 planned: n=20 fnv=dc07605be8fe65a4 stats={16,55,1,422,0,0}",
+    "flag q7 planned: n=20 fnv=dc07605be8fe65a4 stats={13,32,0,425,0,0}",
   });
 }
 

@@ -402,6 +402,16 @@ TEST(CoordinatorEquivalenceTest, PlannedMethodIsSetIdentical) {
     // contract the single store documents.
     EXPECT_EQ(testing::AsSet(fanned->result.ids),
               testing::AsSet(reference->ids));
+    // Every shard runs one scan, so the ghost-compensated counters are
+    // the single store's. `rules_applied` may differ: each shard orders
+    // the conjuncts by its own statistics.
+    const QueryStats& a = fanned->result.stats;
+    const QueryStats& b = reference->stats;
+    EXPECT_EQ(a.binary_images_checked, b.binary_images_checked);
+    EXPECT_EQ(a.edited_images_bounded, b.edited_images_bounded);
+    EXPECT_EQ(a.edited_images_skipped, b.edited_images_skipped);
+    EXPECT_EQ(a.images_instantiated, b.images_instantiated);
+    EXPECT_EQ(a.corrupt_images_skipped, b.corrupt_images_skipped);
   }
 }
 

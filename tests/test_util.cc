@@ -186,4 +186,12 @@ std::set<ObjectId> AsSet(const std::vector<ObjectId>& ids) {
   return {ids.begin(), ids.end()};
 }
 
+ScanAnswer AnswerOf(const QueryResult& result) {
+  const QueryStats& s = result.stats;
+  return {result.ids,           s.binary_images_checked,
+          s.edited_images_bounded, s.edited_images_skipped,
+          s.rules_applied,         s.images_instantiated,
+          s.corrupt_images_skipped};
+}
+
 }  // namespace mmdb::testing

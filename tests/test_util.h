@@ -1,11 +1,14 @@
 #ifndef MMDB_TESTS_TEST_UTIL_H_
 #define MMDB_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/collection.h"
+#include "core/query.h"
 #include "datasets/augment.h"
 #include "editops/edit_ops.h"
 #include "image/image.h"
@@ -53,6 +56,12 @@ void RemoveStoreFiles(const std::string& path);
 
 /// Sorts a result id vector into a set for order-insensitive comparison.
 std::set<ObjectId> AsSet(const std::vector<ObjectId>& ids);
+
+/// A scan's whole answer: its ordered ids and all six `QueryStats`
+/// counters, so one `EXPECT_EQ` compares order and work.
+using ScanAnswer = std::tuple<std::vector<ObjectId>, int64_t, int64_t,
+                              int64_t, int64_t, int64_t, int64_t>;
+ScanAnswer AnswerOf(const QueryResult& result);
 
 }  // namespace mmdb::testing
 
