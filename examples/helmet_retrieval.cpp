@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   std::cout << "database holds " << db->collection().BinaryCount()
             << " binary + " << db->collection().EditedCount()
             << " edit-sequence images; BWM Main component covers "
-            << db->bwm_index().MainEditedCount() << " of them\n";
+            << db->collection().MainEditedCount() << " of them\n";
 
   // "Find helmets that are at least 20% navy" (a team-color search).
   mmdb::RangeQuery query;

@@ -13,6 +13,7 @@ Status AugmentedCollection::AddBinary(BinaryImageInfo info) {
   if (binaries_.count(info.id) || editeds_.count(info.id)) {
     return Status::AlreadyExists("object id " + std::to_string(info.id));
   }
+  info.cluster.clear();  // Only AddEdited fills a cluster.
   binary_order_.push_back(info.id);
   binaries_.emplace(info.id, std::move(info));
   return Status::OK();
@@ -25,12 +26,23 @@ Status AugmentedCollection::AddEdited(EditedImageInfo info) {
   if (binaries_.count(info.id) || editeds_.count(info.id)) {
     return Status::AlreadyExists("object id " + std::to_string(info.id));
   }
-  if (!binaries_.count(info.script.base_id)) {
+  const auto base = binaries_.find(info.script.base_id);
+  if (base == binaries_.end()) {
     return Status::NotFound("referenced base image " +
                             std::to_string(info.script.base_id) +
                             " is not a stored binary image");
   }
-  base_to_edited_[info.script.base_id].push_back(info.id);
+  // Figure 1, step 3: one non-bound-widening rule sends the image to the
+  // Unclassified Component; step 5: otherwise it joins its base's
+  // cluster, kept sorted (Section 4.1).
+  if (RuleEngine::IsAllBoundWidening(info.script)) {
+    std::vector<ObjectId>& cluster = base->second.cluster;
+    cluster.insert(std::upper_bound(cluster.begin(), cluster.end(), info.id),
+                   info.id);
+    ++main_edited_count_;
+  } else {
+    unclassified_.push_back(info.id);
+  }
   edited_order_.push_back(info.id);
   editeds_.emplace(info.id, std::move(info));
   return Status::OK();
@@ -47,10 +59,14 @@ Status AugmentedCollection::RemoveEdited(ObjectId id) {
   if (it == editeds_.end()) {
     return Status::NotFound("edited image " + std::to_string(id));
   }
-  const auto connection = base_to_edited_.find(it->second.script.base_id);
-  if (connection != base_to_edited_.end()) {
-    EraseId(connection->second, id);
-    if (connection->second.empty()) base_to_edited_.erase(connection);
+  std::vector<ObjectId>& cluster =
+      binaries_.at(it->second.script.base_id).cluster;
+  if (const auto pos = std::lower_bound(cluster.begin(), cluster.end(), id);
+      pos != cluster.end() && *pos == id) {
+    cluster.erase(pos);
+    --main_edited_count_;
+  } else {
+    EraseId(unclassified_, id);
   }
   EraseId(edited_order_, id);
   editeds_.erase(it);
@@ -62,11 +78,13 @@ Status AugmentedCollection::RemoveBinary(ObjectId id) {
   if (it == binaries_.end()) {
     return Status::NotFound("binary image " + std::to_string(id));
   }
-  if (const auto connection = base_to_edited_.find(id);
-      connection != base_to_edited_.end() && !connection->second.empty()) {
+  const auto derived = std::count_if(
+      editeds_.begin(), editeds_.end(),
+      [id](const auto& entry) { return entry.second.script.base_id == id; });
+  if (derived > 0) {
     return Status::InvalidArgument(
         "binary image " + std::to_string(id) + " is still the base of " +
-        std::to_string(connection->second.size()) + " edited image(s)");
+        std::to_string(derived) + " edited image(s)");
   }
   EraseId(binary_order_, id);
   binaries_.erase(it);
@@ -81,13 +99,6 @@ const BinaryImageInfo* AugmentedCollection::FindBinary(ObjectId id) const {
 const EditedImageInfo* AugmentedCollection::FindEdited(ObjectId id) const {
   const auto it = editeds_.find(id);
   return it == editeds_.end() ? nullptr : &it->second;
-}
-
-const std::vector<ObjectId>& AugmentedCollection::EditedOf(
-    ObjectId base_id) const {
-  static const std::vector<ObjectId> kEmpty;
-  const auto it = base_to_edited_.find(base_id);
-  return it == base_to_edited_.end() ? kEmpty : it->second;
 }
 
 Result<const RuleState*> CollectionTargetResolver::Resolve(

@@ -1,5 +1,6 @@
 #include "core/database.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -84,15 +85,15 @@ Result<T> GetDecoded(const ObjectStore& store, uint64_t key,
 /// `id` (as its base) or merges into `id`.
 Status CheckUnreferenced(const AugmentedCollection& collection,
                          ObjectId id) {
-  if (const std::vector<ObjectId>& derived = collection.EditedOf(id);
-      !derived.empty()) {
-    return Status::InvalidArgument(
-        "binary image " + std::to_string(id) + " is still the base of " +
-        std::to_string(derived.size()) + " edited image(s)");
-  }
   for (ObjectId other_id : collection.edited_ids()) {
     if (other_id == id) continue;
-    for (const EditOp& op : collection.FindEdited(other_id)->script.ops) {
+    const EditScript& script = collection.FindEdited(other_id)->script;
+    if (script.base_id == id) {
+      return Status::InvalidArgument("binary image " + std::to_string(id) +
+                                     " is the base of " +
+                                     std::to_string(other_id));
+    }
+    for (const EditOp& op : script.ops) {
       const MergeOp* merge = std::get_if<MergeOp>(&op);
       if (merge != nullptr && merge->target == id) {
         return Status::InvalidArgument("image " + std::to_string(id) +
@@ -135,7 +136,7 @@ Result<std::unique_ptr<QueryProcessor>> MultimediaDatabase::MakeProcessor(
           tracer.Intern("bwm.rule_walk", kFine);
       static obs::SpanCategory* const accept_span =
           tracer.Intern("bwm.cluster_accept", kFine);
-      return scan({.clusters = &bwm_index_,
+      return scan({.clustered = true,
                    .scan_span = scan_span,
                    .rule_walk_span = walk_span,
                    .accept_span = accept_span});
@@ -145,7 +146,7 @@ Result<std::unique_ptr<QueryProcessor>> MultimediaDatabase::MakeProcessor(
       // the bwm.* stage shares stay kBwm's alone.
       static obs::SpanCategory* const scan_span =
           tracer.Intern("bwm_indexed.scan");
-      return scan({.clusters = &bwm_index_, .scan_span = scan_span});
+      return scan({.clustered = true, .scan_span = scan_span});
     }
     case QueryMethod::kParallelRbm: {
       static obs::SpanCategory* const scan_span =
@@ -219,8 +220,11 @@ Status MultimediaDatabase::LoadExisting() {
   // A corrupt row or script blob quarantines that one image instead of
   // failing the open: the rest of the database stays queryable, and
   // queries report the loss via `QueryStats::corrupt_images_skipped`.
-  // (Corruption of the metadata blob or of a directory page still fails
-  // the open — there is no per-image blast radius to confine it to.)
+  // A script names only earlier ids, so an edited image whose base or
+  // Merge target is missing here depends on a quarantined image and is
+  // quarantined too. (Corruption of the metadata blob or of a directory
+  // page still fails the open — there is no per-image blast radius to
+  // confine it to.)
   for (uint64_t key : store_->Keys()) {
     if (key % 4 != 2 || key < catalog_keys::RowKey(catalog_keys::kFirstObjectId)) {
       continue;
@@ -240,6 +244,10 @@ Status MultimediaDatabase::LoadExisting() {
         if (script.status().code() != StatusCode::kCorruption) {
           return script.status();
         }
+        QuarantineImage(row->id);
+        continue;
+      }
+      if (!ValidateScript(*script).ok()) {
         QuarantineImage(row->id);
         continue;
       }
@@ -303,12 +311,10 @@ Status MultimediaDatabase::AddToMemory(const CatalogRow& row,
                          row.histogram_counts[bin]);
     }
     MMDB_RETURN_IF_ERROR(collection_.AddBinary(std::move(info)));
-    bwm_index_.InsertBinary(row.id);
   } else {
     EditedImageInfo info;
     info.id = row.id;
     info.script = std::move(script);
-    bwm_index_.InsertEdited(info);  // Figure 1 insertion algorithm.
     MMDB_RETURN_IF_ERROR(collection_.AddEdited(std::move(info)));
   }
   mutation_epoch_.fetch_add(1, std::memory_order_release);
@@ -446,13 +452,8 @@ Status MultimediaDatabase::DeleteImage(ObjectId id) {
     return store_->Delete(catalog_keys::RowKey(id));
   }));
   // The batch committed; only now does memory change.
-  if (edited != nullptr) {
-    bwm_index_.RemoveEdited(id, edited->script.base_id);
-    MMDB_RETURN_IF_ERROR(collection_.RemoveEdited(id));
-  } else {
-    bwm_index_.RemoveBinary(id);
-    MMDB_RETURN_IF_ERROR(collection_.RemoveBinary(id));
-  }
+  MMDB_RETURN_IF_ERROR(edited != nullptr ? collection_.RemoveEdited(id)
+                                          : collection_.RemoveBinary(id));
   mutation_epoch_.fetch_add(1, std::memory_order_release);
   return Status::OK();
 }
@@ -484,9 +485,11 @@ std::vector<ObjectId> MultimediaDatabase::ExpandWithConnections(
 Result<MultimediaDatabase::IntegrityReport>
 MultimediaDatabase::VerifyIntegrity(bool deep_pixels) const {
   IntegrityReport report;
+  size_t clustered_count = 0;
   for (ObjectId id : collection_.binary_ids()) {
     const BinaryImageInfo* info = collection_.FindBinary(id);
     ++report.binary_images_checked;
+    clustered_count += info->cluster.size();
     MMDB_ASSIGN_OR_RETURN(std::string blob,
                           store_->Get(catalog_keys::RasterKey(id)));
     MMDB_ASSIGN_OR_RETURN(Image image, DecodePpm(blob));
@@ -520,17 +523,30 @@ MultimediaDatabase::VerifyIntegrity(bool deep_pixels) const {
                                 ": stored script disagrees with memory");
     }
     MMDB_RETURN_IF_ERROR(ValidateScript(script));
-    if (RuleEngine::IsAllBoundWidening(script)) ++widening_count;
+    // Figure 1's classification: Main cluster of the base exactly when
+    // every operation is bound-widening.
+    const bool widening = RuleEngine::IsAllBoundWidening(script);
+    const std::vector<ObjectId>& cluster =
+        collection_.FindBinary(script.base_id)->cluster;
+    if (std::binary_search(cluster.begin(), cluster.end(), id) != widening) {
+      return Status::Corruption(
+          "image " + std::to_string(id) + ": " +
+          (widening ? "bound-widening script is missing from"
+                    : "non-widening script sits in") +
+          " the Main cluster of base " + std::to_string(script.base_id));
+    }
+    if (widening) ++widening_count;
   }
 
-  if (bwm_index_.MainEditedCount() != widening_count) {
+  if (clustered_count != widening_count ||
+      collection_.MainEditedCount() != widening_count) {
     return Status::Corruption(
-        "BWM Main component holds " +
-        std::to_string(bwm_index_.MainEditedCount()) +
-        " images but the collection has " + std::to_string(widening_count) +
+        "BWM Main clusters hold " + std::to_string(clustered_count) +
+        " images (count " + std::to_string(collection_.MainEditedCount()) +
+        ") but the collection has " + std::to_string(widening_count) +
         " bound-widening scripts");
   }
-  if (bwm_index_.Unclassified().size() !=
+  if (collection_.unclassified().size() !=
       collection_.EditedCount() - widening_count) {
     return Status::Corruption("BWM Unclassified component size mismatch");
   }

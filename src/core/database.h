@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/breaker.h"
-#include "core/bwm.h"
 #include "core/cancel.h"
 #include "core/collection.h"
 #include "core/instantiate.h"
@@ -98,21 +97,18 @@ std::string_view QueryMethodName(QueryMethod method);
 
 /// The augmented multimedia database facade.
 ///
-/// Owns the object store (rasters, scripts, catalog rows), the in-memory
-/// `AugmentedCollection` the query processors scan, and the BWM index,
-/// keeping all three consistent as images are inserted. Binary images get
-/// their color histogram extracted exactly once, at insertion; edited
-/// images are stored purely as operation sequences and are only ever
-/// instantiated on explicit retrieval (or by the kInstantiate baseline).
+/// Owns the object store (rasters, scripts, catalog rows) and the
+/// in-memory `AugmentedCollection` the query processors scan (with its
+/// BWM Main clusters and Unclassified Component), keeping both
+/// consistent as images are inserted. Binary images get their color
+/// histogram extracted exactly once, at insertion; edited images are
+/// stored purely as operation sequences and are only ever instantiated
+/// on explicit retrieval (or by the kInstantiate baseline).
 ///
 /// Thread safety: mutations (`Insert*`, `DeleteImage`, `Flush`) require
-/// external serialization. The rule-based query paths (`RunRange` /
-/// `RunConjunctive` with kRbm / kBwm / kBwmIndexed) and the similarity
-/// searcher read only in-memory structures and may run concurrently from
-/// any number of threads between mutations. Paths that touch the object
-/// store (`GetImage`, kInstantiate, `VerifyIntegrity`) are concurrency-
-/// safe only on an in-memory store; the disk store's buffer pool is
-/// single-threaded.
+/// external serialization. Every query path, `GetImage` and
+/// `VerifyIntegrity` may run concurrently from any number of threads
+/// between mutations.
 class Executor;
 
 class MultimediaDatabase {
@@ -175,8 +171,8 @@ class MultimediaDatabase {
   /// | method         | binary side                   | loose edited images |
   /// |----------------|-------------------------------|---------------------|
   /// | kRbm           | flat                          | serial              |
-  /// | kBwm           | Main clusters                 | serial              |
-  /// | kBwmIndexed    | Main clusters (kBwm's scan)   | serial              |
+  /// | kBwm           | with Main clusters            | serial              |
+  /// | kBwmIndexed    | with Main clusters (kBwm's)   | serial              |
   /// | kParallelRbm   | flat                          | chunked on the pool |
   ///
   /// Processors are cheap to build (one per query) and borrow this
@@ -223,7 +219,6 @@ class MultimediaDatabase {
   const ColorQuantizer& quantizer() const { return quantizer_; }
   const RuleEngine& rule_engine() const { return rule_engine_; }
   const AugmentedCollection& collection() const { return collection_; }
-  const BwmIndex& bwm_index() const { return bwm_index_; }
   const ObjectStore& object_store() const { return *store_; }
 
   /// Resolver that loads (and instantiates, for edited ids) pixels from
@@ -266,9 +261,9 @@ class MultimediaDatabase {
   /// binary image's raster must exist, decode, and match its cataloged
   /// dimensions (and, when `deep_pixels` is set, re-extract to the
   /// cataloged histogram); every edited image's stored script must decode
-  /// to the in-memory one with a valid base and valid merge targets; and
-  /// the BWM index must hold exactly the bound-widening scripts in its
-  /// Main component. Returns the first inconsistency as an error.
+  /// to the in-memory one with a valid base and valid merge targets, and
+  /// sit in its base's Main cluster exactly when every operation is
+  /// bound-widening. Returns the first inconsistency as an error.
   Result<IntegrityReport> VerifyIntegrity(bool deep_pixels = false) const;
 
  private:
@@ -287,8 +282,8 @@ class MultimediaDatabase {
   Result<ObjectId> InsertRow(CatalogRow row, const std::string& payload,
                              EditScript script);
   /// The one in-memory apply of a stored image, for inserts and reload:
-  /// the collection, the BWM index and the planner epoch. `script` is an
-  /// edited image's operations.
+  /// the collection and the planner epoch. `script` is an edited image's
+  /// operations.
   Status AddToMemory(const CatalogRow& row, EditScript script);
   Status ValidateScript(const EditScript& script) const;
 
@@ -314,7 +309,6 @@ class MultimediaDatabase {
   ColorQuantizer quantizer_;
   RuleEngine rule_engine_;
   AugmentedCollection collection_;
-  BwmIndex bwm_index_;
   CatalogMeta meta_;
 };
 

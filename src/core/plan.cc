@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <utility>
 
 #include "core/collection.h"
 #include "core/query_service.h"
@@ -64,7 +63,7 @@ CorpusStats CorpusStats::Collect(const MultimediaDatabase& db) {
   if (stats.edited_count_ > 0) {
     stats.avg_ops_ = static_cast<double>(total_ops) /
                      static_cast<double>(stats.edited_count_);
-    stats.main_fraction_ = static_cast<double>(db.bwm_index().MainEditedCount()) /
+    stats.main_fraction_ = static_cast<double>(collection.MainEditedCount()) /
                            static_cast<double>(stats.edited_count_);
   }
   return stats;
@@ -109,23 +108,21 @@ double CorpusStats::Selectivity(const RangeQuery& query) const {
          population;
 }
 
-QueryPlanner::QueryPlanner(CorpusStats stats) : stats_(std::move(stats)) {}
-
 QueryPlanner::QueryPlanner(const MultimediaDatabase& db)
-    : QueryPlanner(*db.PlannerStats()) {}
+    : stats_(db.PlannerStats()) {}
 
 QueryPlan QueryPlanner::PlanConjunctive(const ConjunctiveQuery& query) const {
   QueryPlan plan;
-  plan.binary_count = stats_.binary_count();
-  plan.edited_count = stats_.edited_count();
-  plan.avg_ops = stats_.avg_ops();
-  plan.main_fraction = stats_.main_fraction();
+  plan.binary_count = stats_->binary_count();
+  plan.edited_count = stats_->edited_count();
+  plan.avg_ops = stats_->avg_ops();
+  plan.main_fraction = stats_->main_fraction();
   plan.method =
       plan.main_fraction > 0.0 ? QueryMethod::kBwm : QueryMethod::kRbm;
 
   plan.steps.reserve(query.conjuncts.size());
   for (const RangeQuery& conjunct : query.conjuncts) {
-    plan.steps.push_back({conjunct, stats_.Selectivity(conjunct)});
+    plan.steps.push_back({conjunct, stats_->Selectivity(conjunct)});
   }
   // Most-selective-first; stable so equal estimates keep query order.
   std::stable_sort(plan.steps.begin(), plan.steps.end(),

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,11 +93,10 @@ struct QueryPlan {
 /// same work and the plan names kRbm.
 class QueryPlanner {
  public:
-  explicit QueryPlanner(CorpusStats stats);
-
-  /// Convenience: plans against `db`'s cached corpus statistics
-  /// (`MultimediaDatabase::PlannerStats`), so building a planner per
-  /// query costs a snapshot copy, not a collection scan.
+  /// Plans against `db`'s cached corpus statistics
+  /// (`MultimediaDatabase::PlannerStats`) and shares that snapshot, so
+  /// building a planner per query copies neither the statistics nor scans
+  /// the collection.
   explicit QueryPlanner(const MultimediaDatabase& db);
 
   /// Plans a conjunction (empty conjunctions are the caller's error and
@@ -106,10 +106,10 @@ class QueryPlanner {
   /// Plans a single predicate (a one-conjunct conjunction).
   QueryPlan PlanRange(const RangeQuery& query) const;
 
-  const CorpusStats& stats() const { return stats_; }
+  const CorpusStats& stats() const { return *stats_; }
 
  private:
-  CorpusStats stats_;
+  std::shared_ptr<const CorpusStats> stats_;
 };
 
 /// The `QueryMethod::kPlanned` access path: plans the query, then runs
@@ -118,7 +118,7 @@ class QueryPlanner {
 /// scan's ids in its walk order; the set equals kRbm's and kBwm's.
 class PlannedQueryProcessor : public QueryProcessor {
  public:
-  /// Borrows `db` (which must outlive the processor); snapshots the
+  /// Borrows `db` (which must outlive the processor); shares the
   /// database's cached corpus stats at construction, so the per-query
   /// processor build stays cheap.
   explicit PlannedQueryProcessor(const MultimediaDatabase* db);

@@ -18,15 +18,15 @@ namespace mmdb {
 ///  - no false negatives versus the instantiate baseline;
 ///  - kRbm, kBwm, kBwmIndexed, and kParallelRbm return identical result
 ///    sets (the paper's equivalence argument, enforced by the tests);
-///  - `Run*` methods are const and touch only in-memory read state, so
-///    one processor is safe to use from the thread that built it while
-///    other threads run their own processors. A single processor instance
-///    is NOT shareable across threads; build one per thread, which is
-///    exactly what the facade and `QueryService` do.
+///  - `Run*` methods are const, so one processor is safe to use from the
+///    thread that built it while other threads run their own processors
+///    (the object store serializes its own I/O). A single processor
+///    instance is NOT shareable across threads; build one per thread,
+///    which is exactly what the facade and `QueryService` do.
 /// Every processor additionally honors the limits in a `QueryContext`
 /// (deadline, cancel tokens) by checking cooperatively at its natural
-/// boundaries — per image scanned, per rule-walk operation, per BWM
-/// cluster — and returns `DeadlineExceeded`/`Cancelled` with partial
+/// boundaries — per image scanned and per rule-walk operation — and
+/// returns `DeadlineExceeded`/`Cancelled` with partial
 /// progress recorded in `ctx.interrupt` when a limit trips. A
 /// default-constructed context imposes no limits and takes the identical
 /// code path.

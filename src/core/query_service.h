@@ -97,14 +97,11 @@ struct BatchOptions {
 /// every query feeds a per-query observability record into service-level
 /// counters.
 ///
-/// Concurrency contract (inherited from the facade): the query paths
-/// read only in-memory structures, so any number of `ExecuteBatch` /
-/// `Execute` calls may run at once — but mutations of the underlying
-/// database (`Insert*`, `DeleteImage`, `Flush`) must remain externally
-/// serialized against them, exactly as for direct facade queries.
-/// `QueryMethod::kInstantiate` touches the object store and is safe in a
-/// batch only over an in-memory store (the facade documents the same
-/// boundary).
+/// Concurrency contract (inherited from the facade): any number of
+/// `ExecuteBatch` / `Execute` calls may run at once — but mutations of
+/// the underlying database (`Insert*`, `DeleteImage`, `Flush`) must
+/// remain externally serialized against them, exactly as for direct
+/// facade queries.
 class QueryService {
  public:
   /// Per-query observability record: what one query cost and how much

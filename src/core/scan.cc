@@ -51,24 +51,37 @@ Result<QueryResult> ScanQueryProcessor::RunConjunctive(
   CancelCheck check(ctx);
   const EditedImageBounder bounder(*collection_, *engine_);
 
-  if (settings_.clusters != nullptr) {
-    MMDB_RETURN_IF_ERROR(WalkClusters(query, ctx, bounder, &check, &result));
-  } else {
-    // Flat mode: each binary image's stored histogram answers exactly.
-    for (ObjectId id : collection_->binary_ids()) {
-      MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-      const BinaryImageInfo* binary = collection_->FindBinary(id);
-      ++result.stats.binary_images_checked;
-      if (query.Satisfies(
-              [&](BinIndex bin) { return binary->histogram.Fraction(bin); })) {
-        result.ids.push_back(id);
-      }
+  for (ObjectId id : collection_->binary_ids()) {
+    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
+    const BinaryImageInfo* binary = collection_->FindBinary(id);
+    ++result.stats.binary_images_checked;
+    // Flat mode treats every Main cluster as empty.
+    const std::span<const ObjectId> members =
+        settings_.clustered ? std::span<const ObjectId>(binary->cluster)
+                            : std::span<const ObjectId>();
+    // The stored histogram answers the binary image exactly.
+    if (query.Satisfies(
+            [&](BinIndex bin) { return binary->histogram.Fraction(bin); })) {
+      // Fig. 2 step 4.2: every member's range starts at the base's
+      // satisfying value and can only widen, so the cluster is accepted
+      // unwalked.
+      obs::Span accept_span(settings_.accept_span);
+      result.ids.push_back(id);
+      result.ids.insert(result.ids.end(), members.begin(), members.end());
+      result.stats.edited_images_skipped +=
+          static_cast<int64_t>(members.size());
+    } else if (!members.empty()) {
+      // Step 4.3: fall back to the rule fold per member. Only an error
+      // pays for the out-of-line annotation.
+      const Status bounded =
+          BoundEach(members, query, bounder, &check, &result);
+      if (!bounded.ok()) return AnnotateInterrupt(ctx, result, bounded);
     }
   }
 
   // Fig. 2 step 5: the loose edited images always pay the full rule fold.
-  const std::vector<ObjectId>& loose = settings_.clusters != nullptr
-                                           ? settings_.clusters->Unclassified()
+  const std::vector<ObjectId>& loose = settings_.clustered
+                                           ? collection_->unclassified()
                                            : collection_->edited_ids();
   const Status bounded =
       settings_.chunks != nullptr
@@ -76,39 +89,6 @@ Result<QueryResult> ScanQueryProcessor::RunConjunctive(
           : BoundEach(loose, query, bounder, &check, &result);
   MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, bounded));
   return result;
-}
-
-Status ScanQueryProcessor::WalkClusters(const ConjunctiveQuery& query,
-                                        const QueryContext& ctx,
-                                        const EditedImageBounder& bounder,
-                                        CancelCheck* check,
-                                        QueryResult* result) const {
-  for (const auto& [base_id, members] : settings_.clusters->main_map()) {
-    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, *result, check->Check()));
-    const BinaryImageInfo* base = collection_->FindBinary(base_id);
-    if (base == nullptr) {
-      return Status::Corruption("BWM cluster references missing base " +
-                                std::to_string(base_id));
-    }
-    ++result->stats.binary_images_checked;
-    if (query.Satisfies(
-            [&](BinIndex bin) { return base->histogram.Fraction(bin); })) {
-      // Step 4.2: every member's range starts at the base's satisfying
-      // value and can only widen, so the cluster is accepted unwalked.
-      obs::Span accept_span(settings_.accept_span);
-      result->ids.push_back(base_id);
-      result->ids.insert(result->ids.end(), members.begin(), members.end());
-      result->stats.edited_images_skipped +=
-          static_cast<int64_t>(members.size());
-    } else {
-      // Step 4.3: fall back to the rule fold per member. Every
-      // materialized variant has an empty cluster, so only an error
-      // pays for the out-of-line annotation.
-      const Status bounded = BoundEach(members, query, bounder, check, result);
-      if (!bounded.ok()) return AnnotateInterrupt(ctx, *result, bounded);
-    }
-  }
-  return Status::OK();
 }
 
 Status ScanQueryProcessor::BoundEach(std::span<const ObjectId> ids,

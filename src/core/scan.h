@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "core/bwm.h"
 #include "core/cancel.h"
 #include "core/collection.h"
 #include "core/executor.h"
@@ -52,19 +51,20 @@ class EditedImageBounder {
 };
 
 /// How the scan kernel walks the corpus. Two settings pick the access
-/// path: `clusters` (clustered vs flat) and `chunks` (chunked vs serial);
+/// path: `clustered` (clustered vs flat) and `chunks` (chunked vs serial);
 /// `MultimediaDatabase::MakeProcessor` maps each scan method onto them.
 struct ScanSettings {
-  /// Clustered mode (BWM): walk these Main clusters, accepting a cluster
-  /// whole when its base satisfies every conjunct, then bound the
-  /// Unclassified images. Null is flat mode (RBM): check every binary
-  /// image, then bound every edited image.
-  const BwmIndex* clusters = nullptr;
+  /// Clustered mode (BWM): with each binary image, accept its Main
+  /// cluster whole when the image satisfies every conjunct, else bound
+  /// the cluster's members; then bound the Unclassified images. Flat mode
+  /// (RBM, false): check every binary image, then bound every edited
+  /// image.
+  bool clustered = false;
   /// Bounds the loose edited images in contiguous chunks on this pool
   /// (the calling thread takes chunks too); null bounds them serially.
   Executor* chunks = nullptr;
   /// Span sites, each optional: the whole scan, one rule walk per
-  /// bounded image, and one wholesale accept per Main cluster.
+  /// bounded image, and one accept per satisfying binary image.
   obs::SpanCategory* scan_span = nullptr;
   obs::SpanCategory* rule_walk_span = nullptr;
   obs::SpanCategory* accept_span = nullptr;
@@ -73,14 +73,15 @@ struct ScanSettings {
 /// The one scan kernel (paper Section 4.2, Fig. 2) behind kRbm, kBwm,
 /// kBwmIndexed and kParallelRbm; kPlanned runs its reordered
 /// conjunction through kBwm's or kRbm's settings. RBM is the same loop
-/// with an empty Main component. It first walks the binary side (Main
-/// clusters or the flat binary list), then bounds the loose edited
-/// images. Results come in walk order, which chunking preserves (chunks
-/// are concatenated in order). Every mode returns the same result *set*.
+/// with an empty Main component. It first walks the binary images in
+/// insertion order (with their Main clusters in clustered mode), then
+/// bounds the loose edited images. Results come in walk order, which
+/// chunking preserves (chunks are concatenated in order). Every mode
+/// returns the same result *set*.
 ///
-/// Checks `ctx`'s limits per binary image or cluster, per bounded image
-/// and per rule; an interrupt returns DeadlineExceeded / Cancelled with
-/// the partial progress (all chunks merged) in `ctx.interrupt`.
+/// Checks `ctx`'s limits per binary image, per bounded image and per
+/// rule; an interrupt returns DeadlineExceeded / Cancelled with the
+/// partial progress (all chunks merged) in `ctx.interrupt`.
 class ScanQueryProcessor : public QueryProcessor {
  public:
   /// The collection, the engine and every pointer in `settings` must
@@ -92,11 +93,6 @@ class ScanQueryProcessor : public QueryProcessor {
                                      const QueryContext& ctx) const override;
 
  private:
-  /// Fig. 2 step 4: accepts or bounds each Main cluster.
-  Status WalkClusters(const ConjunctiveQuery& query, const QueryContext& ctx,
-                      const EditedImageBounder& bounder, CancelCheck* check,
-                      QueryResult* result) const;
-
   /// Bounds each edited image in `ids` into `out`, stopping at the first
   /// error.
   Status BoundEach(std::span<const ObjectId> ids,

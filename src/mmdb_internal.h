@@ -19,7 +19,6 @@
 // `QueryService` / `MultimediaDatabase::RunRange` — direct construction
 // is deprecated as public API.
 #include "core/bounds.h"
-#include "core/bwm.h"
 #include "core/executor.h"
 #include "core/instantiate.h"
 #include "core/plan.h"

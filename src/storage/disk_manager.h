@@ -35,8 +35,8 @@ struct ReadRetryPolicy {
 /// re-stamped on every write-out and verified on every read, so a flipped
 /// bit or torn write surfaces as `Status::Corruption` naming the page.
 /// All raw I/O goes through an `Env` (POSIX by default; tests inject a
-/// `FaultInjectingEnv`). Not thread-safe (the engine is single-threaded,
-/// like the paper's prototype).
+/// `FaultInjectingEnv`). Not thread-safe: each `DiskObjectStore`
+/// serializes its own I/O.
 ///
 /// `ReadPage` absorbs transient faults per a `ReadRetryPolicy`: an
 /// IoError read retries with exponential backoff and jitter, and a

@@ -88,7 +88,9 @@ class Env {
 /// a workload once, locate the operation it wants to break (e.g. "the
 /// journal fsync of the second commit"), and re-run with the fault armed.
 ///
-/// Not thread-safe, matching the single-threaded storage engine.
+/// Not thread-safe. A `DiskObjectStore` serializes its own I/O, so one
+/// store's concurrent readers may share an env; arm or clear faults only
+/// while no call is in flight.
 class FaultInjectingEnv final : public Env {
  public:
   /// One logged operation: its kind and the file it addressed.

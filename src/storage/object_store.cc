@@ -222,10 +222,12 @@ Status DiskObjectStore::Mutate(const std::function<Status()>& mutation) {
 }
 
 Status DiskObjectStore::Put(uint64_t key, const std::string& value) {
+  std::lock_guard<std::mutex> lock(mu_);
   return Mutate([&] { return blobs_->Put(key, value); });
 }
 
 Status DiskObjectStore::Upsert(uint64_t key, const std::string& value) {
+  std::lock_guard<std::mutex> lock(mu_);
   return Mutate([&]() -> Status {
     if (blobs_->Contains(key)) {
       MMDB_RETURN_IF_ERROR(blobs_->Delete(key));
@@ -235,27 +237,38 @@ Status DiskObjectStore::Upsert(uint64_t key, const std::string& value) {
 }
 
 Status DiskObjectStore::Delete(uint64_t key) {
+  std::lock_guard<std::mutex> lock(mu_);
   return Mutate([&] { return blobs_->Delete(key); });
 }
 
 Result<std::string> DiskObjectStore::Get(uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mu_);
   return blobs_->Get(key);
 }
 
 bool DiskObjectStore::Contains(uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mu_);
   return blobs_->Contains(key);
 }
 
-std::vector<uint64_t> DiskObjectStore::Keys() const { return blobs_->Keys(); }
+std::vector<uint64_t> DiskObjectStore::Keys() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return blobs_->Keys();
+}
 
-size_t DiskObjectStore::Count() const { return blobs_->BlobCount(); }
+size_t DiskObjectStore::Count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return blobs_->BlobCount();
+}
 
 Status DiskObjectStore::BeginBatch() {
+  std::lock_guard<std::mutex> lock(mu_);
   ++batch_depth_;
   return Status::OK();
 }
 
 Status DiskObjectStore::CommitBatch() {
+  std::lock_guard<std::mutex> lock(mu_);
   if (batch_depth_ <= 0) {
     return Status::InvalidArgument("CommitBatch without BeginBatch");
   }
@@ -264,6 +277,7 @@ Status DiskObjectStore::CommitBatch() {
 }
 
 Status DiskObjectStore::AbortBatch() {
+  std::lock_guard<std::mutex> lock(mu_);
   if (batch_depth_ <= 0) {
     return Status::InvalidArgument("AbortBatch without BeginBatch");
   }
@@ -271,9 +285,13 @@ Status DiskObjectStore::AbortBatch() {
   return RollbackTransaction();
 }
 
-Status DiskObjectStore::Flush() { return CommitTransaction(); }
+Status DiskObjectStore::Flush() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return CommitTransaction();
+}
 
 Result<DiskObjectStore::ScrubReport> DiskObjectStore::Scrub() const {
+  std::lock_guard<std::mutex> lock(mu_);
   ScrubReport report;
   MMDB_ASSIGN_OR_RETURN(report.pages_scanned, disk_->PageCount());
   Page page;
@@ -314,6 +332,7 @@ Result<DiskObjectStore::ScrubReport> DiskObjectStore::Scrub() const {
 }
 
 void DiskObjectStore::SimulateCrashForTesting() {
+  std::lock_guard<std::mutex> lock(mu_);
   pool_->DiscardAll();
   crashed_ = true;
 }

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,10 @@ class MemoryObjectStore final : public ObjectStore {
 /// commits atomically — after a crash at any point, reopening the store
 /// observes either all of the batch or none of it. A failed mutation,
 /// abort or commit is undone at once by the same journal replay.
+///
+/// Each public method holds the store's mutex for its whole run, so any
+/// number of threads may read at once. Writers still need external
+/// serialization: a batch spans several calls.
 class DiskObjectStore final : public ObjectStore {
  public:
   /// Outcome of an integrity scan (`Scrub`).
@@ -150,6 +155,10 @@ class DiskObjectStore final : public ObjectStore {
   /// Runs `mutation`, committing on success and rolling back on failure.
   Status Mutate(const std::function<Status()>& mutation);
 
+  /// Serializes the public methods (none calls another): the buffer
+  /// pool, the blob directory and the page file below are
+  /// single-threaded.
+  mutable std::mutex mu_;
   // Declaration order is a lifetime contract: members destroy in reverse,
   // and ~BufferPool writes back dirty pages through hooks that hold raw
   // Journal* and DiskManager* — both must outlive pool_ (and blobs_,

@@ -69,9 +69,27 @@ TEST(CollectionTest, MaintainsConnections) {
   ASSERT_TRUE(collection.AddEdited(MakeEdited(3, 1)).ok());
   ASSERT_TRUE(collection.AddEdited(MakeEdited(4, 1)).ok());
   ASSERT_TRUE(collection.AddEdited(MakeEdited(5, 2)).ok());
-  EXPECT_EQ(collection.EditedOf(1), (std::vector<ObjectId>{3, 4}));
-  EXPECT_EQ(collection.EditedOf(2), std::vector<ObjectId>{5});
-  EXPECT_TRUE(collection.EditedOf(99).empty());
+  EditedImageInfo unclassified = MakeEdited(6, 2);
+  unclassified.script.ops.emplace_back(MergeOp{ObjectId{1}, 0, 0});
+  ASSERT_TRUE(collection.AddEdited(unclassified).ok());
+  EXPECT_EQ(collection.FindBinary(1)->cluster,
+            (std::vector<ObjectId>{3, 4}));
+  EXPECT_EQ(collection.FindBinary(2)->cluster, std::vector<ObjectId>{5});
+  EXPECT_EQ(collection.unclassified(), std::vector<ObjectId>{6});
+
+  // A base stays while any edited image, clustered or not, derives from it.
+  EXPECT_EQ(collection.RemoveBinary(1).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(collection.RemoveEdited(3).ok());
+  ASSERT_TRUE(collection.RemoveEdited(4).ok());
+  EXPECT_TRUE(collection.FindBinary(1)->cluster.empty());
+  ASSERT_TRUE(collection.RemoveEdited(5).ok());
+  EXPECT_EQ(collection.RemoveBinary(2).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(collection.RemoveEdited(6).ok());
+  EXPECT_TRUE(collection.unclassified().empty());
+  EXPECT_EQ(collection.MainEditedCount(), 0u);
+  EXPECT_TRUE(collection.RemoveBinary(2).ok());
+  EXPECT_TRUE(collection.RemoveBinary(1).ok());
+  EXPECT_TRUE(collection.binary_ids().empty());
 }
 
 TEST(CollectionTest, PreservesInsertionOrder) {

@@ -1,9 +1,8 @@
-// Read-side thread-safety contract: the query processors over an
-// in-memory database mutate nothing, so any number of threads may query
-// the same `MultimediaDatabase` concurrently (each call builds its own
-// processor and resolver state). Disk-backed retrieval goes through the
-// buffer pool, which is NOT thread-safe — that boundary is documented on
-// the facade; these tests cover the supported read paths.
+// Read-side thread-safety contract: any number of threads may query the
+// same `MultimediaDatabase` concurrently. The rule-based processors
+// mutate nothing (each call builds its own processor and resolver
+// state); paths that read pixels go through the object store, which
+// serializes its own I/O.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +20,8 @@ namespace mmdb {
 namespace {
 
 using mmdb::testing::AsSet;
+using mmdb::testing::RemoveStoreFiles;
+using mmdb::testing::TempPath;
 
 TEST(ConcurrencyTest, ParallelRangeQueriesAgreeWithSerialAnswers) {
   auto db = MultimediaDatabase::Open().value();
@@ -63,6 +64,64 @@ TEST(ConcurrencyTest, ParallelRangeQueriesAgreeWithSerialAnswers) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Pixel reads share one disk store's buffer pool: two threads run
+// kInstantiate ranges (every edited image instantiated from its base's
+// raster) while two fetch every image, through a pool far smaller than
+// the page file, so frames are evicted and refilled under each other.
+TEST(ConcurrencyTest, DiskStoreServesConcurrentPixelReads) {
+  const std::string path = TempPath("mmdb_concurrent_reads.db");
+  RemoveStoreFiles(path);
+  DatabaseOptions options;
+  options.path = path;
+  options.pool_pages = 8;
+  auto db = MultimediaDatabase::Open(options).value();
+  datasets::DatasetSpec spec;
+  spec.total_images = 24;
+  spec.edited_fraction = 0.6;
+  spec.seed = 1809;
+  ASSERT_TRUE(datasets::BuildAugmentedDatabase(db.get(), spec).ok());
+  ASSERT_TRUE(db->Flush().ok());
+
+  Rng rng(1811);
+  const auto workload = datasets::MakeGroundedRangeWorkload(
+      db->collection(), db->quantizer(), datasets::FlagPalette(), 4, rng);
+  std::vector<std::vector<ObjectId>> expected;
+  for (const RangeQuery& query : workload) {
+    expected.push_back(
+        db->RunRange(query, QueryMethod::kInstantiate).value().ids);
+  }
+  std::vector<ObjectId> ids = db->collection().binary_ids();
+  ids.insert(ids.end(), db->collection().edited_ids().begin(),
+             db->collection().edited_ids().end());
+
+  std::atomic<int> wrong_answers{0};
+  std::atomic<int> failed_fetches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        if (t % 2 == 0) {
+          for (size_t q = 0; q < workload.size(); ++q) {
+            const auto result =
+                db->RunRange(workload[q], QueryMethod::kInstantiate);
+            if (!result.ok() || result->ids != expected[q]) ++wrong_answers;
+          }
+        } else {
+          for (ObjectId id : ids) {
+            if (!db->GetImage(id).ok()) ++failed_fetches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong_answers.load(), 0);
+  EXPECT_EQ(failed_fetches.load(), 0);
+  EXPECT_TRUE(db->QuarantinedImages().empty());
+  db.reset();
+  RemoveStoreFiles(path);
 }
 
 TEST(ConcurrencyTest, ScaleBracketMemoIsPerThread) {

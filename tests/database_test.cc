@@ -148,7 +148,7 @@ TEST(DatabaseTest, DiskDatabasePersistsAcrossReopen) {
   const EditedImageInfo* edited = db->collection().FindEdited(edited_id);
   ASSERT_NE(edited, nullptr);
   EXPECT_EQ(edited->script.base_id, binary_ids[0]);
-  EXPECT_EQ(db->bwm_index().MainEditedCount(), 1u);
+  EXPECT_EQ(db->collection().MainEditedCount(), 1u);
   // New inserts continue from the persisted id counter.
   const ObjectId next =
       db->InsertBinaryImage(Image(4, 4, colors::kRed)).value();

@@ -125,10 +125,10 @@ TEST(AugmentTest, BuildMatchesSpecShape) {
   EXPECT_GT(stats->non_widening, 20);
   EXPECT_GE(stats->AvgOpsPerEdited(), 4.0);
   EXPECT_LE(stats->AvgOpsPerEdited(), 9.0);
-  // The BWM index classified exactly the widening-only scripts into Main.
-  EXPECT_EQ(db->bwm_index().MainEditedCount(),
+  // Figure 1 classified exactly the widening-only scripts into Main.
+  EXPECT_EQ(db->collection().MainEditedCount(),
             static_cast<size_t>(stats->widening_only));
-  EXPECT_EQ(db->bwm_index().Unclassified().size(),
+  EXPECT_EQ(db->collection().unclassified().size(),
             static_cast<size_t>(stats->non_widening));
 }
 

@@ -34,7 +34,7 @@ TEST(DeletionTest, DeleteEditedImage) {
   ASSERT_TRUE(f.db->DeleteImage(f.edited).ok());
   EXPECT_EQ(f.db->collection().EditedCount(), 0u);
   EXPECT_EQ(f.db->GetImage(f.edited).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(f.db->bwm_index().MainEditedCount(), 0u);
+  EXPECT_EQ(f.db->collection().MainEditedCount(), 0u);
   // The script blob is gone from the object store.
   EXPECT_FALSE(f.db->object_store().Contains(
       catalog_keys::ScriptKey(f.edited)));
@@ -127,9 +127,9 @@ TEST(DeletionTest, UnclassifiedRemovalUpdatesBwmIndex) {
   merge.target = white;
   script.ops.emplace_back(merge);
   const ObjectId edited = db->InsertEditedImage(script).value();
-  EXPECT_EQ(db->bwm_index().Unclassified().size(), 1u);
+  EXPECT_EQ(db->collection().unclassified().size(), 1u);
   ASSERT_TRUE(db->DeleteImage(edited).ok());
-  EXPECT_TRUE(db->bwm_index().Unclassified().empty());
+  EXPECT_TRUE(db->collection().unclassified().empty());
 }
 
 TEST(DeletionTest, DiskDatabaseReflectsDeletionAfterReopen) {

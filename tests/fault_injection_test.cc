@@ -9,6 +9,7 @@
 #include "core/query_service.h"
 #include "image/image.h"
 #include "storage/blob_store.h"
+#include "storage/catalog.h"
 #include "storage/disk_manager.h"
 #include "storage/env.h"
 #include "storage/object_store.h"
@@ -233,6 +234,125 @@ TEST(CorruptionToleranceTest, QueryBatchSkipsQuarantinedImages) {
   EXPECT_EQ(result->stats.corrupt_images_skipped, 1);
   EXPECT_EQ(result->stats.images_instantiated, 0);
   EXPECT_EQ(service.Snapshot().stats.corrupt_images_skipped, 2);
+  RemoveStoreFiles(path);
+}
+
+/// Flips a bit in the catalog row of binary image `id`, whose raster is
+/// `width` x `height`: the row's first page opens with its version, id,
+/// kind and dimensions (`EncodeCatalogRow`).
+void CorruptBinaryRow(const std::string& path, ObjectId id, int32_t width,
+                      int32_t height) {
+  CatalogRow row;
+  row.id = id;
+  row.kind = ImageKind::kBinary;
+  row.width = width;
+  row.height = height;
+  const std::string prefix = EncodeCatalogRow(row).substr(0, 18);
+  const PageId page = FindPageWithPayloadPrefix(path, prefix);
+  ASSERT_NE(page, kInvalidPageId) << "row of image " << id << " not found";
+  FlipBitOnDisk(path, static_cast<uint64_t>(page) * kPageSize + 40, 2);
+}
+
+/// Every range method and top-k answer over `db`, and every range method
+/// matches exactly `expected` with a window that holds every image.
+void ExpectEveryMethodAnswers(const MultimediaDatabase& db,
+                              const std::set<ObjectId>& expected) {
+  RangeQuery everything;
+  everything.bin = db.BinOf(colors::kRed);
+  everything.min_fraction = 0.0;
+  everything.max_fraction = 1.0;
+  for (QueryMethod method : kQueryMethods) {
+    const Result<QueryResult> result = db.RunRange(everything, method);
+    ASSERT_TRUE(result.ok()) << QueryMethodName(method) << ": "
+                             << result.status().ToString();
+    EXPECT_EQ(testing::AsSet(result->ids), expected)
+        << QueryMethodName(method);
+  }
+  SimilarityQuery nearest;
+  nearest.histogram = ColorHistogram(db.quantizer().BinCount());
+  nearest.histogram.Add(everything.bin, 1);
+  nearest.k = 1;
+  const Result<QueryResult> result = db.RunSimilarity(nearest);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->ids.empty());
+}
+
+// A corrupt binary catalog row quarantines that image and, because rows
+// reload in id order and a script names only earlier ids, every edited
+// image derived from it; the rest of the database opens and answers.
+TEST(CorruptionToleranceTest, CorruptBaseRowQuarantinesItsDerivedImages) {
+  const std::string path = TempPath("mmdb_corrupt_base_row.db");
+  RemoveStoreFiles(path);
+  ObjectId base = kInvalidObjectId, derived = kInvalidObjectId;
+  ObjectId other = kInvalidObjectId, kept = kInvalidObjectId;
+  {
+    DatabaseOptions options;
+    options.path = path;
+    auto db = MultimediaDatabase::Open(options).value();
+    Rng rng(43);
+    base = db->InsertBinaryImage(testing::RandomBlockImage(16, 12, 4, rng))
+               .value();
+    other = db->InsertBinaryImage(testing::RandomBlockImage(16, 12, 4, rng))
+                .value();
+    EditScript script;
+    script.base_id = base;
+    script.ops.emplace_back(ModifyOp{colors::kRed, colors::kGold});
+    derived = db->InsertEditedImage(script).value();
+    script.base_id = other;
+    kept = db->InsertEditedImage(script).value();
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  CorruptBinaryRow(path, base, 16, 12);
+
+  DatabaseOptions options;
+  options.path = path;
+  Result<std::unique_ptr<MultimediaDatabase>> db =
+      MultimediaDatabase::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->QuarantinedImages(),
+            (std::vector<ObjectId>{base, derived}));
+  const auto report = (*db)->VerifyIntegrity(/*deep_pixels=*/true);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  ExpectEveryMethodAnswers(**db, {other, kept});
+  db->reset();
+  RemoveStoreFiles(path);
+}
+
+// The same for a binary image that is only a Merge target: the image
+// that merges it is quarantined instead of failing every later query.
+TEST(CorruptionToleranceTest, CorruptMergeTargetRowQuarantinesItsMergers) {
+  const std::string path = TempPath("mmdb_corrupt_target_row.db");
+  RemoveStoreFiles(path);
+  ObjectId base = kInvalidObjectId, target = kInvalidObjectId;
+  ObjectId merger = kInvalidObjectId;
+  {
+    DatabaseOptions options;
+    options.path = path;
+    auto db = MultimediaDatabase::Open(options).value();
+    Rng rng(47);
+    base = db->InsertBinaryImage(testing::RandomBlockImage(16, 12, 4, rng))
+               .value();
+    target = db->InsertBinaryImage(testing::RandomBlockImage(16, 12, 4, rng))
+                 .value();
+    EditScript script;
+    script.base_id = base;
+    script.ops.emplace_back(MergeOp{target, 0, 0});
+    merger = db->InsertEditedImage(script).value();
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  CorruptBinaryRow(path, target, 16, 12);
+
+  DatabaseOptions options;
+  options.path = path;
+  Result<std::unique_ptr<MultimediaDatabase>> db =
+      MultimediaDatabase::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->QuarantinedImages(),
+            (std::vector<ObjectId>{target, merger}));
+  const auto report = (*db)->VerifyIntegrity(/*deep_pixels=*/true);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  ExpectEveryMethodAnswers(**db, {base});
+  db->reset();
   RemoveStoreFiles(path);
 }
 

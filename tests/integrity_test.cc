@@ -27,11 +27,14 @@ TEST(IntegrityTest, FreshDatabasePassesDeepScan) {
   EXPECT_EQ(report->scripts_verified, report->edited_images_checked);
 }
 
+// Every insert and delete keeps Figure 1's classification (each edited
+// image in its base's Main cluster exactly when its script is
+// all-widening), and BWM keeps RBM's answer set.
 TEST(IntegrityTest, SurvivesInsertDeleteChurn) {
   auto db = MultimediaDatabase::Open().value();
   Rng rng(703);
   std::vector<ObjectId> bases, edits;
-  for (int round = 0; round < 30; ++round) {
+  for (int round = 0; round < 40; ++round) {
     const double action = rng.NextDouble();
     if (action < 0.4 || bases.empty()) {
       bases.push_back(
@@ -42,14 +45,32 @@ TEST(IntegrityTest, SurvivesInsertDeleteChurn) {
           bases[rng.Uniform(bases.size())], 12, 12,
           static_cast<int>(rng.UniformInt(1, 5)), {}, rng);
       edits.push_back(db->InsertEditedImage(script).value());
-    } else if (!edits.empty()) {
+    } else if (action < 0.9 && !edits.empty()) {
       const size_t pick = rng.Uniform(edits.size());
       ASSERT_TRUE(db->DeleteImage(edits[pick]).ok());
       edits.erase(edits.begin() + static_cast<ptrdiff_t>(pick));
+    } else if (bases.size() > 1) {
+      // A binary image goes only once nothing derives from it.
+      const size_t pick = rng.Uniform(bases.size());
+      bool referenced = false;
+      for (ObjectId id : edits) {
+        referenced |= db->collection().FindEdited(id)->script.base_id ==
+                      bases[pick];
+      }
+      const Status deleted = db->DeleteImage(bases[pick]);
+      ASSERT_EQ(deleted.ok(), !referenced) << deleted.ToString();
+      if (deleted.ok()) {
+        bases.erase(bases.begin() + static_cast<ptrdiff_t>(pick));
+      }
     }
     const auto report = db->VerifyIntegrity();
     ASSERT_TRUE(report.ok()) << "round " << round << ": "
                              << report.status().ToString();
+    const RangeQuery window = datasets::MakeGroundedRangeWorkload(
+        db->collection(), db->quantizer(), testing::TestPalette(), 1, rng)[0];
+    EXPECT_EQ(testing::AsSet(db->RunRange(window, QueryMethod::kBwm)->ids),
+              testing::AsSet(db->RunRange(window, QueryMethod::kRbm)->ids))
+        << "round " << round << ": " << window.ToString();
   }
 }
 

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/bwm.h"
+#include "core/collection.h"
 #include "core/database.h"
 #include "core/instantiate.h"
 #include "datasets/augment.h"
@@ -71,16 +71,23 @@ TEST_P(RbmBwmEquivalence, NoFalseNegativesAgainstInstantiation) {
 INSTANTIATE_TEST_SUITE_P(SeedSweep, RbmBwmEquivalence,
                          ::testing::Range(uint64_t{1}, uint64_t{9}));
 
-TEST(BwmIndexTest, InsertionClassifiesPerFigure1) {
-  BwmIndex index;
-  index.InsertBinary(10);
-  index.InsertBinary(20);
+/// A binary image of `id` for the classification tests.
+BinaryImageInfo Binary(ObjectId id) {
+  BinaryImageInfo info;
+  info.id = id;
+  return info;
+}
+
+TEST(BwmClusterTest, InsertionClassifiesPerFigure1) {
+  AugmentedCollection collection;
+  ASSERT_TRUE(collection.AddBinary(Binary(10)).ok());
+  ASSERT_TRUE(collection.AddBinary(Binary(20)).ok());
 
   EditedImageInfo widening;
   widening.id = 11;
   widening.script.base_id = 10;
   widening.script.ops.emplace_back(ModifyOp{colors::kRed, colors::kBlue});
-  index.InsertEdited(widening);
+  ASSERT_TRUE(collection.AddEdited(widening).ok());
 
   EditedImageInfo unclassified;
   unclassified.id = 12;
@@ -88,29 +95,29 @@ TEST(BwmIndexTest, InsertionClassifiesPerFigure1) {
   MergeOp merge;
   merge.target = 20;
   unclassified.script.ops.emplace_back(merge);
-  index.InsertEdited(unclassified);
+  ASSERT_TRUE(collection.AddEdited(unclassified).ok());
 
-  const auto& clusters = index.main_map();
-  ASSERT_EQ(clusters.size(), 2u);
-  EXPECT_EQ(clusters.begin()->first, 10u);
-  EXPECT_EQ(clusters.at(10), std::vector<ObjectId>{11});
-  EXPECT_TRUE(clusters.at(20).empty());
-  EXPECT_EQ(index.Unclassified(), std::vector<ObjectId>{12});
-  EXPECT_EQ(index.MainEditedCount(), 1u);
+  EXPECT_EQ(collection.binary_ids(), (std::vector<ObjectId>{10, 20}));
+  EXPECT_EQ(collection.FindBinary(10)->cluster, std::vector<ObjectId>{11});
+  EXPECT_TRUE(collection.FindBinary(20)->cluster.empty());
+  EXPECT_EQ(collection.unclassified(), std::vector<ObjectId>{12});
+  EXPECT_EQ(collection.MainEditedCount(), 1u);
 }
 
-TEST(BwmIndexTest, ClusterIdsStaySorted) {
-  BwmIndex index;
-  index.InsertBinary(1);
+TEST(BwmClusterTest, ClusterIdsStaySorted) {
+  AugmentedCollection collection;
+  ASSERT_TRUE(collection.AddBinary(Binary(1)).ok());
   for (ObjectId id : {9, 3, 7, 5}) {
     EditedImageInfo info;
     info.id = id;
     info.script.base_id = 1;
-    index.InsertEdited(info);
+    ASSERT_TRUE(collection.AddEdited(info).ok());
   }
-  const auto& clusters = index.main_map();
-  ASSERT_EQ(clusters.size(), 1u);
-  EXPECT_EQ(clusters.at(1), (std::vector<ObjectId>{3, 5, 7, 9}));
+  EXPECT_EQ(collection.binary_ids(), std::vector<ObjectId>{1});
+  EXPECT_EQ(collection.FindBinary(1)->cluster,
+            (std::vector<ObjectId>{3, 5, 7, 9}));
+  EXPECT_EQ(collection.MainEditedCount(), 4u);
+  EXPECT_TRUE(collection.unclassified().empty());
 }
 
 TEST(BwmStatsTest, SkipsRulesWhenBaseSatisfies) {

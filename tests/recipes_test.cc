@@ -42,9 +42,9 @@ TEST(RecipesTest, RecipesInstantiateOverRealImages) {
     }
   }
   // Every augmented image lands in the Main component (all widening).
-  EXPECT_EQ(db->bwm_index().MainEditedCount(),
+  EXPECT_EQ(db->collection().MainEditedCount(),
             db->collection().EditedCount());
-  EXPECT_TRUE(db->bwm_index().Unclassified().empty());
+  EXPECT_TRUE(db->collection().unclassified().empty());
 }
 
 TEST(RecipesTest, ThumbnailHalvesDimensions) {

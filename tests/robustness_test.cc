@@ -631,22 +631,25 @@ TEST(FsyncTest, JournalSyncFailureIsStickyDataLoss) {
   std::remove(path.c_str());
 }
 
-/// What the facade keeps in memory about its images: the collection and
-/// the BWM index.
+/// What the facade keeps in memory about its images: the collection's
+/// id lists and its BWM components.
 struct FacadeMemory {
   std::vector<ObjectId> binary_ids;
   std::vector<ObjectId> edited_ids;
-  std::map<ObjectId, std::vector<ObjectId>> main_clusters;
+  std::map<ObjectId, std::vector<ObjectId>> clusters;
   std::vector<ObjectId> unclassified;
   bool operator==(const FacadeMemory&) const = default;
 };
 
 FacadeMemory SnapshotMemory(const MultimediaDatabase& db) {
+  const AugmentedCollection& collection = db.collection();
   FacadeMemory out;
-  out.binary_ids = db.collection().binary_ids();
-  out.edited_ids = db.collection().edited_ids();
-  out.main_clusters = db.bwm_index().main_map();
-  out.unclassified = db.bwm_index().Unclassified();
+  out.binary_ids = collection.binary_ids();
+  out.edited_ids = collection.edited_ids();
+  for (ObjectId id : out.binary_ids) {
+    out.clusters[id] = collection.FindBinary(id)->cluster;
+  }
+  out.unclassified = collection.unclassified();
   return out;
 }
 
@@ -817,8 +820,8 @@ TEST(TortureMatrixTest, EveryFaultPolicyDeadlineComboTerminatesTyped) {
             break;
         }
 
-        // threads = 1 keeps the disk store's single-threaded buffer pool
-        // honest; the admission gate still runs per query.
+        // threads = 1 keeps the env's fault sequence in one program
+        // order; the admission gate still runs per query.
         QueryServiceOptions service_options;
         service_options.threads = 1;
         service_options.admission.max_in_flight = 1;

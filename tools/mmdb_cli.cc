@@ -217,10 +217,15 @@ int CmdDescribe(MultimediaDatabase& db, ObjectId id) {
                   << "%\n";
       }
     }
-    const auto& edited = db.collection().EditedOf(id);
-    if (!edited.empty()) {
+    std::vector<ObjectId> derived;
+    for (ObjectId e : db.collection().edited_ids()) {
+      if (db.collection().FindEdited(e)->script.base_id == id) {
+        derived.push_back(e);
+      }
+    }
+    if (!derived.empty()) {
       std::cout << "  derived edited images:";
-      for (ObjectId e : edited) std::cout << " #" << e;
+      for (ObjectId e : derived) std::cout << " #" << e;
       std::cout << "\n";
     }
     return 0;
@@ -312,9 +317,9 @@ int CmdStats(MultimediaDatabase& db) {
   table.AddRow({"edited images (edit sequences)",
                 TablePrinter::Cell(db.collection().EditedCount())});
   table.AddRow({"BWM Main component members",
-                TablePrinter::Cell(db.bwm_index().MainEditedCount())});
+                TablePrinter::Cell(db.collection().MainEditedCount())});
   table.AddRow({"BWM Unclassified members",
-                TablePrinter::Cell(db.bwm_index().Unclassified().size())});
+                TablePrinter::Cell(db.collection().unclassified().size())});
   table.AddRow({"quantizer",
                 std::string(ColorSpaceName(db.quantizer().space())) + " " +
                     std::to_string(db.quantizer().divisions()) + "^3 = " +

@@ -281,8 +281,7 @@ int Run(int argc, char** argv) {
     QueryService overloaded(db.get(), overload_options);
     // A match-everything instantiate scan is the slowest path, so the
     // single slot stays busy long enough for the waiter queue to
-    // overflow and shed. The gate also serializes the instantiations,
-    // which keeps the disk store's single-threaded boundary honored.
+    // overflow and shed.
     RangeQuery heavy;
     heavy.bin = 0;
     heavy.min_fraction = 0.0;
