@@ -1,15 +1,19 @@
 // Microbenchmarks (google-benchmark) for the building blocks: rule
-// application per operation type, the BOUNDS fold, histogram extraction,
-// instantiation, PPM codec, and blob store.
+// application per operation type, the BOUNDS fold, top-k over stored
+// bounds rows, histogram extraction, instantiation, PPM codec, and blob
+// store.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/bounds.h"
+#include "core/database.h"
 #include "core/histogram.h"
 #include "core/rules.h"
 #include "datasets/augment.h"
@@ -85,6 +89,36 @@ void BM_BoundsFoldVsScriptLength(benchmark::State& state) {
 BENCHMARK(BM_BoundsFoldVsScriptLength)
     ->ArgNames({"ops", "bins"})
     ->ArgsProduct({{2, 8, 32}, {1, 3, 64}});
+
+/// Facade top-k (k = 10) over a seeded augmented helmet corpus of 2000
+/// images: each binary image's exact distance, and each edited image's
+/// interval from its bounds row, folded when the corpus was built. Items
+/// are images scored.
+void BM_TopK(benchmark::State& state) {
+  static const std::unique_ptr<MultimediaDatabase> db = [] {
+    std::unique_ptr<MultimediaDatabase> opened =
+        MultimediaDatabase::Open().value();
+    datasets::DatasetSpec spec;
+    spec.kind = datasets::DatasetKind::kHelmets;
+    spec.total_images = 2000;
+    spec.seed = 7;
+    if (!datasets::BuildAugmentedDatabase(opened.get(), spec).ok()) {
+      std::abort();
+    }
+    return opened;
+  }();
+  SimilarityQuery query;
+  query.histogram = ExtractHistogram(BenchImage(96), db->quantizer());
+  query.k = 10;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(db->RunSimilarity(query));
+  }
+  const size_t images =
+      db->collection().BinaryCount() + db->collection().EditedCount();
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(images));
+  state.SetLabel(std::to_string(images) + " images");
+}
+BENCHMARK(BM_TopK)->Unit(benchmark::kMillisecond);
 
 void BM_Instantiation(benchmark::State& state) {
   const Image base = BenchImage(96);

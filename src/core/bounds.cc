@@ -21,13 +21,4 @@ Status FoldRules(const RuleEngine& engine, const EditScript& script,
   return Status::OK();
 }
 
-FractionBounds ToFractionBounds(const RuleState& state, size_t i) {
-  FractionBounds bounds;
-  if (state.size > 0) {
-    bounds.min_fraction = static_cast<double>(state.hb_min[i]) / state.size;
-    bounds.max_fraction = static_cast<double>(state.hb_max[i]) / state.size;
-  }
-  return bounds;
-}
-
 }  // namespace mmdb

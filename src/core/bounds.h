@@ -1,6 +1,8 @@
 #ifndef MMDB_CORE_BOUNDS_H_
 #define MMDB_CORE_BOUNDS_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/cancel.h"
@@ -44,9 +46,47 @@ Status FoldRules(const RuleEngine& engine, const EditScript& script,
                  int32_t base_height, const MergeTargetResolver* resolver,
                  RuleState* state, CancelCheck* check = nullptr);
 
-/// Fraction bounds of the i-th requested bin of a final rule state
-/// ([0, 0] for an empty image).
-FractionBounds ToFractionBounds(const RuleState& state, size_t i);
+/// Fraction bounds of a bin holding between `hb_min` and `hb_max` of
+/// `size` pixels ([0, 0] for an empty image).
+inline FractionBounds ToFractionBounds(int64_t hb_min, int64_t hb_max,
+                                       int64_t size) {
+  FractionBounds bounds;
+  if (size > 0) {
+    bounds.min_fraction = static_cast<double>(hb_min) / size;
+    bounds.max_fraction = static_cast<double>(hb_max) / size;
+  }
+  return bounds;
+}
+
+/// Fraction bounds of the i-th requested bin of a final rule state.
+inline FractionBounds ToFractionBounds(const RuleState& state, size_t i) {
+  return ToFractionBounds(state.hb_min[i], state.hb_max[i], state.size);
+}
+
+/// An edited image's bounds on every bin, as a fold over bins
+/// 0 .. bins-1 leaves them: bin b holds between `hb_min[b]` and
+/// `hb_max[b]` of the final `size` pixels, after `ops` operations. The
+/// counts are int32 (a count is at most the final pixel count, and an
+/// image whose count would not fit is refused). A view: the arrays belong
+/// to whoever made the row.
+struct BoundsRow {
+  const int32_t* hb_min = nullptr;
+  const int32_t* hb_max = nullptr;
+  size_t bins = 0;
+  int64_t size = 0;
+  int64_t ops = 0;
+
+  FractionBounds Fraction(size_t bin) const {
+    return ToFractionBounds(hb_min[bin], hb_max[bin], size);
+  }
+
+  /// Equal contents.
+  friend bool operator==(const BoundsRow& a, const BoundsRow& b) {
+    return a.bins == b.bins && a.size == b.size && a.ops == b.ops &&
+           std::equal(a.hb_min, a.hb_min + a.bins, b.hb_min) &&
+           std::equal(a.hb_max, a.hb_max + a.bins, b.hb_max);
+  }
+};
 
 }  // namespace mmdb
 

@@ -1,10 +1,44 @@
 #include "core/collection.h"
 
 #include <algorithm>
-
-#include "core/bounds.h"
+#include <limits>
+#include <numeric>
 
 namespace mmdb {
+
+BoundsRow BoundsColumn::operator[](size_t i) const {
+  const Block& block = *blocks_[i / kRowsPerBlock];
+  const size_t slot = i % kRowsPerBlock;
+  const int32_t* counts = block.counts.get() + slot * 2 * bins_;
+  return {counts, counts + bins_, bins_, block.size[slot], block.ops[slot]};
+}
+
+void BoundsColumn::Set(size_t i, const BoundsRow& row) {
+  Block& block = *blocks_[i / kRowsPerBlock];
+  const size_t slot = i % kRowsPerBlock;
+  int32_t* counts = block.counts.get() + slot * 2 * bins_;
+  std::copy_n(row.hb_min, bins_, counts);
+  std::copy_n(row.hb_max, bins_, counts + bins_);
+  block.size[slot] = row.size;
+  block.ops[slot] = row.ops;
+}
+
+void BoundsColumn::Append(const BoundsRow& row) {
+  if (rows_ == 0) bins_ = row.bins;
+  if (rows_ == blocks_.size() * kRowsPerBlock) {
+    auto block = std::make_unique<Block>();
+    block->counts =
+        std::make_unique_for_overwrite<int32_t[]>(kRowsPerBlock * 2 * bins_);
+    blocks_.push_back(std::move(block));
+  }
+  Set(rows_++, row);
+}
+
+void BoundsColumn::Erase(size_t i) {
+  for (; i + 1 < rows_; ++i) Set(i, (*this)[i + 1]);
+  --rows_;
+  blocks_.resize((rows_ + kRowsPerBlock - 1) / kRowsPerBlock);
+}
 
 Status AugmentedCollection::AddBinary(BinaryImageInfo info) {
   if (info.id == kInvalidObjectId) {
@@ -19,7 +53,8 @@ Status AugmentedCollection::AddBinary(BinaryImageInfo info) {
   return Status::OK();
 }
 
-Status AugmentedCollection::AddEdited(EditedImageInfo info) {
+Status AugmentedCollection::AddEdited(EditedImageInfo info,
+                                      const BoundsRow& bounds) {
   if (info.id == kInvalidObjectId) {
     return Status::InvalidArgument("edited image id must be non-zero");
   }
@@ -32,6 +67,12 @@ Status AugmentedCollection::AddEdited(EditedImageInfo info) {
                             std::to_string(info.script.base_id) +
                             " is not a stored binary image");
   }
+  if (edited_bounds_.size() > 0 && bounds.bins != edited_bounds_.bins()) {
+    return Status::InvalidArgument(
+        "bounds row of edited image " + std::to_string(info.id) + " has " +
+        std::to_string(bounds.bins) + " bins, the stored rows " +
+        std::to_string(edited_bounds_.bins()));
+  }
   // Figure 1, step 3: one non-bound-widening rule sends the image to the
   // Unclassified Component; step 5: otherwise it joins its base's
   // cluster, kept sorted (Section 4.1).
@@ -43,7 +84,9 @@ Status AugmentedCollection::AddEdited(EditedImageInfo info) {
   } else {
     unclassified_.push_back(info.id);
   }
+  info.position = edited_order_.size();
   edited_order_.push_back(info.id);
+  edited_bounds_.Append(bounds);
   editeds_.emplace(info.id, std::move(info));
   return Status::OK();
 }
@@ -68,8 +111,14 @@ Status AugmentedCollection::RemoveEdited(ObjectId id) {
   } else {
     EraseId(unclassified_, id);
   }
-  EraseId(edited_order_, id);
+  const size_t position = it->second.position;
   editeds_.erase(it);
+  edited_order_.erase(edited_order_.begin() +
+                      static_cast<ptrdiff_t>(position));
+  edited_bounds_.Erase(position);
+  for (size_t i = position; i < edited_order_.size(); ++i) {
+    editeds_.at(edited_order_[i]).position = i;
+  }
   return Status::OK();
 }
 
@@ -137,6 +186,44 @@ Result<const RuleState*> CollectionTargetResolver::Resolve(
   in_flight_.pop_back();
   MMDB_RETURN_IF_ERROR(folded);
   return out;
+}
+
+BoundsRowFolder::BoundsRowFolder(const AugmentedCollection& collection,
+                                 const RuleEngine& engine)
+    : collection_(collection), engine_(engine), resolver_(collection, engine) {}
+
+Result<BoundsRow> BoundsRowFolder::Fold(const EditScript& script) {
+  const BinaryImageInfo* base = collection_.FindBinary(script.base_id);
+  const size_t bins = static_cast<size_t>(engine_.quantizer().BinCount());
+  if (base == nullptr ||
+      static_cast<size_t>(base->histogram.BinCount()) != bins) {
+    return Status::InvalidArgument("base image " +
+                                   std::to_string(script.base_id) +
+                                   " is not a stored binary image with " +
+                                   std::to_string(bins) + " bins");
+  }
+  if (bins_.size() != bins) {
+    bins_.resize(bins);
+    std::iota(bins_.begin(), bins_.end(), BinIndex{0});
+  }
+  MMDB_RETURN_IF_ERROR(FoldRules(engine_, script, bins_,
+                                 base->histogram.counts(), base->width,
+                                 base->height, &resolver_, &state_));
+  counts_.resize(2 * bins);
+  for (size_t i = 0; i < bins; ++i) {
+    for (const int64_t count : {state_.hb_min[i], state_.hb_max[i]}) {
+      if (count < std::numeric_limits<int32_t>::min() ||
+          count > std::numeric_limits<int32_t>::max()) {
+        return Status::InvalidArgument(
+            "bin " + std::to_string(i) + " may hold " +
+            std::to_string(count) + " pixels, more than a bounds row holds");
+      }
+    }
+    counts_[i] = static_cast<int32_t>(state_.hb_min[i]);
+    counts_[bins + i] = static_cast<int32_t>(state_.hb_max[i]);
+  }
+  return BoundsRow{counts_.data(), counts_.data() + bins, bins, state_.size,
+                   static_cast<int64_t>(script.ops.size())};
 }
 
 }  // namespace mmdb

@@ -179,7 +179,8 @@ MultimediaDatabase::~MultimediaDatabase() = default;
 MultimediaDatabase::MultimediaDatabase(DatabaseOptions options)
     : options_(std::move(options)),
       quantizer_(options_.quantizer_divisions, options_.color_space),
-      rule_engine_(quantizer_, options_.rule_options) {
+      rule_engine_(quantizer_, options_.rule_options),
+      folder_(collection_, rule_engine_) {
   meta_.next_id = catalog_keys::kFirstObjectId;
   meta_.quantizer_divisions = quantizer_.divisions();
   meta_.color_space = static_cast<uint8_t>(quantizer_.space());
@@ -237,6 +238,7 @@ Status MultimediaDatabase::LoadExisting() {
       continue;
     }
     Result<EditScript> script = EditScript{};
+    Result<BoundsRow> bounds = BoundsRow{};
     if (row->kind == ImageKind::kEdited) {
       script = GetDecoded(*store_, catalog_keys::ScriptKey(row->id),
                           &DecodeEditScript);
@@ -251,8 +253,15 @@ Status MultimediaDatabase::LoadExisting() {
         QuarantineImage(row->id);
         continue;
       }
+      // A row that cannot be folded (a count past int32, written before
+      // inserts refused one) quarantines the image too.
+      bounds = folder_.Fold(*script);
+      if (!bounds.ok()) {
+        QuarantineImage(row->id);
+        continue;
+      }
     }
-    MMDB_RETURN_IF_ERROR(AddToMemory(*row, std::move(*script)));
+    MMDB_RETURN_IF_ERROR(AddToMemory(*row, std::move(*script), *bounds));
   }
   return Status::OK();
 }
@@ -273,7 +282,8 @@ Status MultimediaDatabase::WithBatch(const std::function<Status()>& body) {
 
 Result<ObjectId> MultimediaDatabase::InsertRow(CatalogRow row,
                                                const std::string& payload,
-                                               EditScript script) {
+                                               EditScript script,
+                                               const BoundsRow& bounds) {
   row.id = meta_.next_id;
   CatalogMeta next = meta_;
   ++next.next_id;
@@ -289,12 +299,13 @@ Result<ObjectId> MultimediaDatabase::InsertRow(CatalogRow row,
     return store_->Put(catalog_keys::RowKey(row.id), EncodeCatalogRow(row));
   }));
   meta_ = next;
-  MMDB_RETURN_IF_ERROR(AddToMemory(row, std::move(script)));
+  MMDB_RETURN_IF_ERROR(AddToMemory(row, std::move(script), bounds));
   return row.id;
 }
 
 Status MultimediaDatabase::AddToMemory(const CatalogRow& row,
-                                       EditScript script) {
+                                       EditScript script,
+                                       const BoundsRow& bounds) {
   if (row.kind == ImageKind::kBinary) {
     if (static_cast<int32_t>(row.histogram_counts.size()) !=
         quantizer_.BinCount()) {
@@ -315,7 +326,7 @@ Status MultimediaDatabase::AddToMemory(const CatalogRow& row,
     EditedImageInfo info;
     info.id = row.id;
     info.script = std::move(script);
-    MMDB_RETURN_IF_ERROR(collection_.AddEdited(std::move(info)));
+    MMDB_RETURN_IF_ERROR(collection_.AddEdited(std::move(info), bounds));
   }
   mutation_epoch_.fetch_add(1, std::memory_order_release);
   return Status::OK();
@@ -331,7 +342,8 @@ Result<ObjectId> MultimediaDatabase::InsertBinaryImage(const Image& image) {
   row.height = image.height();
   // Feature extraction happens here, once, at insertion time.
   row.histogram_counts = ExtractHistogram(image, quantizer_).counts();
-  return InsertRow(std::move(row), EncodePpm(image, PpmFormat::kBinary), {});
+  return InsertRow(std::move(row), EncodePpm(image, PpmFormat::kBinary), {},
+                   {});
 }
 
 Status MultimediaDatabase::ValidateScript(const EditScript& script) const {
@@ -355,9 +367,11 @@ Status MultimediaDatabase::ValidateScript(const EditScript& script) const {
 Result<ObjectId> MultimediaDatabase::InsertEditedImage(
     const EditScript& script) {
   MMDB_RETURN_IF_ERROR(ValidateScript(script));
+  // Folded before the batch, so an image without a row is never stored.
+  MMDB_ASSIGN_OR_RETURN(const BoundsRow bounds, folder_.Fold(script));
   CatalogRow row;
   row.kind = ImageKind::kEdited;
-  return InsertRow(std::move(row), EncodeEditScript(script), script);
+  return InsertRow(std::move(row), EncodeEditScript(script), script, bounds);
 }
 
 ImageResolver MultimediaDatabase::MakePixelResolver() const {
@@ -510,8 +524,17 @@ MultimediaDatabase::VerifyIntegrity(bool deep_pixels) const {
     }
   }
 
+  const BoundsColumn& rows = collection_.edited_bounds();
+  if (rows.size() != collection_.EditedCount()) {
+    return Status::Corruption(
+        "the collection holds " + std::to_string(rows.size()) +
+        " bounds rows for " + std::to_string(collection_.EditedCount()) +
+        " edited images");
+  }
+  BoundsRowFolder folder(collection_, rule_engine_);
   size_t widening_count = 0;
-  for (ObjectId id : collection_.edited_ids()) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const ObjectId id = collection_.edited_ids()[i];
     const EditedImageInfo* info = collection_.FindEdited(id);
     ++report.edited_images_checked;
     MMDB_ASSIGN_OR_RETURN(std::string blob,
@@ -536,6 +559,12 @@ MultimediaDatabase::VerifyIntegrity(bool deep_pixels) const {
           " the Main cluster of base " + std::to_string(script.base_id));
     }
     if (widening) ++widening_count;
+    MMDB_ASSIGN_OR_RETURN(const BoundsRow folded, folder.Fold(script));
+    if (info->position != i || !(folded == rows[i])) {
+      return Status::Corruption("image " + std::to_string(id) +
+                                ": stored bounds row disagrees with its "
+                                "script");
+    }
   }
 
   if (clustered_count != widening_count ||

@@ -261,9 +261,10 @@ class MultimediaDatabase {
   /// binary image's raster must exist, decode, and match its cataloged
   /// dimensions (and, when `deep_pixels` is set, re-extract to the
   /// cataloged histogram); every edited image's stored script must decode
-  /// to the in-memory one with a valid base and valid merge targets, and
-  /// sit in its base's Main cluster exactly when every operation is
-  /// bound-widening. Returns the first inconsistency as an error.
+  /// to the in-memory one with a valid base and valid merge targets, sit
+  /// in its base's Main cluster exactly when every operation is
+  /// bound-widening, and refold to its stored bounds row. Returns the
+  /// first inconsistency as an error.
   Result<IntegrityReport> VerifyIntegrity(bool deep_pixels = false) const;
 
  private:
@@ -280,11 +281,12 @@ class MultimediaDatabase {
   /// counter, `payload` and `row`), then advances `meta_.next_id` and
   /// adds the image to memory — only once the batch has committed.
   Result<ObjectId> InsertRow(CatalogRow row, const std::string& payload,
-                             EditScript script);
+                             EditScript script, const BoundsRow& bounds);
   /// The one in-memory apply of a stored image, for inserts and reload:
   /// the collection and the planner epoch. `script` is an edited image's
-  /// operations.
-  Status AddToMemory(const CatalogRow& row, EditScript script);
+  /// operations and `bounds` their fold over every bin.
+  Status AddToMemory(const CatalogRow& row, EditScript script,
+                     const BoundsRow& bounds);
   Status ValidateScript(const EditScript& script) const;
 
   DatabaseOptions options_;
@@ -309,6 +311,9 @@ class MultimediaDatabase {
   ColorQuantizer quantizer_;
   RuleEngine rule_engine_;
   AugmentedCollection collection_;
+  /// Folds each inserted or reloaded edited image's bounds row; used only
+  /// by mutations and `Open`, which are serialized.
+  BoundsRowFolder folder_;
   CatalogMeta meta_;
 };
 

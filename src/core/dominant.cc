@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "core/similarity.h"
-
 namespace mmdb {
 
 std::vector<DominantColor> ExtractDominantColors(
@@ -46,16 +44,23 @@ double DominantColorSimilarity(const std::vector<DominantColor>& a,
 }
 
 Result<DominantCandidates> ClassifyDominantBins(
-    const AugmentedCollection& collection, const RuleEngine& engine,
+    const AugmentedCollection& collection, const RuleEngine& /*engine*/,
     const EditedImageInfo& edited, double min_fraction) {
-  MMDB_ASSIGN_OR_RETURN(
-      auto bounds,
-      SimilaritySearcher(&collection, &engine).AllBinBounds(edited));
-  const auto& [lo, hi] = bounds;
+  const std::vector<ObjectId>& ids = collection.edited_ids();
+  if (edited.position >= ids.size() || ids[edited.position] != edited.id) {
+    return Status::NotFound("edited image " + std::to_string(edited.id) +
+                            " is not in the collection");
+  }
+  const BoundsRow bounds = collection.edited_bounds()[edited.position];
   DominantCandidates out;
-  for (size_t bin = 0; bin < lo.size(); ++bin) {
-    if (lo[bin] >= min_fraction) out.must.push_back(static_cast<BinIndex>(bin));
-    if (hi[bin] >= min_fraction) out.may.push_back(static_cast<BinIndex>(bin));
+  for (size_t bin = 0; bin < bounds.bins; ++bin) {
+    const FractionBounds fraction = bounds.Fraction(bin);
+    if (fraction.min_fraction >= min_fraction) {
+      out.must.push_back(static_cast<BinIndex>(bin));
+    }
+    if (fraction.max_fraction >= min_fraction) {
+      out.may.push_back(static_cast<BinIndex>(bin));
+    }
   }
   return out;
 }

@@ -45,7 +45,9 @@ struct DominantCandidates {
   std::vector<BinIndex> may;
 };
 
-/// Computes `DominantCandidates` for an edited image in `collection`.
+/// Computes `DominantCandidates` for an edited image in `collection` from
+/// its bounds row, folded when the image was added, so `engine` is not
+/// consulted. NotFound when `edited` is not the collection's own entry.
 Result<DominantCandidates> ClassifyDominantBins(
     const AugmentedCollection& collection, const RuleEngine& engine,
     const EditedImageInfo& edited, double min_fraction = 0.05);

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
-
-#include "core/bounds.h"
 
 namespace mmdb {
 
@@ -17,11 +14,17 @@ bool ByOptimistic(const SimilarityMatch& a, const SimilarityMatch& b) {
   return a.id < b.id;
 }
 
-/// Bins 0 .. count-1: the bins top-k folds.
-std::vector<BinIndex> AllBins(BinIndex count) {
-  std::vector<BinIndex> bins(static_cast<size_t>(count));
-  std::iota(bins.begin(), bins.end(), BinIndex{0});
-  return bins;
+/// `L1Distance` between the query and a binary image without building
+/// either normalized vector: the same terms, summed in the same bin
+/// order, so the distance keeps its bits.
+double BinaryDistance(const std::vector<double>& query_fractions,
+                      const ColorHistogram& histogram) {
+  double sum = 0.0;
+  for (size_t i = 0; i < query_fractions.size(); ++i) {
+    sum += std::fabs(query_fractions[i] -
+                     histogram.Fraction(static_cast<BinIndex>(i)));
+  }
+  return sum;
 }
 
 }  // namespace
@@ -51,48 +54,27 @@ std::vector<SimilarityMatch> TopKCandidates(
 
 SimilaritySearcher::SimilaritySearcher(const AugmentedCollection* collection,
                                        const RuleEngine* engine)
-    : collection_(collection),
-      engine_(engine),
-      resolver_(*collection, *engine),
-      all_bins_(AllBins(engine->quantizer().BinCount())) {}
-
-Result<std::pair<std::vector<double>, std::vector<double>>>
-SimilaritySearcher::AllBinBounds(const EditedImageInfo& info,
-                                 CancelCheck* check) const {
-  const BinaryImageInfo* base = collection_->FindBinary(info.script.base_id);
-  if (base == nullptr) {
-    return Status::Corruption("edited image " + std::to_string(info.id) +
-                              " references missing base");
-  }
-  MMDB_RETURN_IF_ERROR(FoldRules(*engine_, info.script, all_bins_,
-                                 base->histogram.counts(), base->width,
-                                 base->height, &resolver_, &state_, check));
-  std::vector<double> lo(all_bins_.size());
-  std::vector<double> hi(all_bins_.size());
-  for (size_t i = 0; i < all_bins_.size(); ++i) {
-    const FractionBounds bounds = ToFractionBounds(state_, i);
-    lo[i] = bounds.min_fraction;
-    hi[i] = bounds.max_fraction;
-  }
-  return std::make_pair(std::move(lo), std::move(hi));
-}
+    : collection_(collection), engine_(engine) {}
 
 SimilarityMatch SimilaritySearcher::DistanceInterval(
     ObjectId id, const std::vector<double>& query_fractions,
-    const std::vector<double>& lo, const std::vector<double>& hi) {
+    const BoundsRow& bounds) {
   SimilarityMatch match;
   match.id = id;
   for (size_t i = 0; i < query_fractions.size(); ++i) {
     const double q = query_fractions[i];
+    const FractionBounds bin = bounds.Fraction(i);
+    const double lo = bin.min_fraction;
+    const double hi = bin.max_fraction;
     // Per-bin |x - q| is minimized at the interval point closest to q and
     // maximized at the farthest endpoint.
     double bin_lo = 0.0;
-    if (q < lo[i]) {
-      bin_lo = lo[i] - q;
-    } else if (q > hi[i]) {
-      bin_lo = q - hi[i];
+    if (q < lo) {
+      bin_lo = lo - q;
+    } else if (q > hi) {
+      bin_lo = q - hi;
     }
-    const double bin_hi = std::max(std::fabs(q - lo[i]), std::fabs(q - hi[i]));
+    const double bin_hi = std::max(std::fabs(q - lo), std::fabs(q - hi));
     match.distance_lo += bin_lo;
     match.distance_hi += bin_hi;
   }
@@ -109,11 +91,17 @@ Result<std::vector<SimilarityMatch>> SimilaritySearcher::ScoreAll(
   CancelCheck check(context);
   const std::vector<double> query_fractions = query.Normalized();
   const int64_t bins = engine_->quantizer().BinCount();
+  const std::vector<ObjectId>& edited_ids = collection_->edited_ids();
+  const BoundsColumn& rows = collection_->edited_bounds();
+  if (rows.size() != edited_ids.size() ||
+      (rows.size() > 0 && rows.bins() < query_fractions.size())) {
+    return Status::Corruption("bounds rows do not cover the edited images");
+  }
   // An interrupt records work counters only: no candidate is final
   // before the cutoff.
   QueryResult progress;
   std::vector<SimilarityMatch> all;
-  all.reserve(collection_->BinaryCount() + collection_->EditedCount());
+  all.reserve(collection_->BinaryCount() + edited_ids.size());
   const Status walked = [&]() -> Status {
     for (ObjectId id : collection_->binary_ids()) {
       MMDB_RETURN_IF_ERROR(check.Check());
@@ -121,21 +109,17 @@ Result<std::vector<SimilarityMatch>> SimilaritySearcher::ScoreAll(
       SimilarityMatch match;
       match.id = id;
       match.distance_lo = match.distance_hi =
-          L1Distance(query, binary->histogram);
+          BinaryDistance(query_fractions, binary->histogram);
       match.exact = true;
       all.push_back(match);
       ++progress.stats.binary_images_checked;
     }
-    for (ObjectId id : collection_->edited_ids()) {
+    for (size_t i = 0; i < edited_ids.size(); ++i) {
       MMDB_RETURN_IF_ERROR(check.Check());
-      const EditedImageInfo* edited = collection_->FindEdited(id);
-      MMDB_ASSIGN_OR_RETURN(auto bounds,
-                            AllBinBounds(*edited, check.enabled_or_null()));
-      all.push_back(
-          DistanceInterval(id, query_fractions, bounds.first, bounds.second));
+      const BoundsRow row = rows[i];
+      all.push_back(DistanceInterval(edited_ids[i], query_fractions, row));
       ++progress.stats.edited_images_bounded;
-      progress.stats.rules_applied +=
-          static_cast<int64_t>(edited->script.ops.size()) * bins;
+      progress.stats.rules_applied += row.ops * bins;
     }
     return Status::OK();
   }();

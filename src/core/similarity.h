@@ -24,40 +24,36 @@ std::vector<SimilarityMatch> TopKCandidates(
 /// Similarity (nearest-neighbor) search over an augmented database — the
 /// extension the paper lists as future work (Section 6).
 ///
-/// Binary images are ranked by exact L1 histogram distance. For edited
-/// images the searcher folds the Table 1 rules once over the script for
-/// every histogram bin together (`FoldRules`) to get per-bin fraction
-/// intervals, then derives a provable interval
-/// [distance_lo, distance_hi] on the L1 distance. The k-NN result is the
-/// candidate set that provably contains the true k nearest images:
-/// every image whose optimistic distance does not exceed the k-th best
-/// guaranteed distance.
+/// Binary images are ranked by exact L1 histogram distance. An edited
+/// image is scored from its bounds row (`AugmentedCollection::
+/// edited_bounds()`), the fold of its script over every bin made once
+/// when it was added: the row's per-bin fraction intervals give a
+/// provable interval [distance_lo, distance_hi] on the L1 distance. No
+/// rule runs at query time. The k-NN result is the candidate set that
+/// provably contains the true k nearest images: every image whose
+/// optimistic distance does not exceed the k-th best guaranteed
+/// distance.
 ///
-/// A searcher owns a Merge-target resolver and the fold's state, both
-/// reused across images, so use one searcher per thread.
+/// A searcher holds no state of its own; any number of threads may share
+/// one between mutations of the collection.
 class SimilaritySearcher {
  public:
   /// Referents must outlive the searcher.
   SimilaritySearcher(const AugmentedCollection* collection,
                      const RuleEngine* engine);
 
-  /// Per-bin fraction intervals for an edited image: one fold over every
-  /// bin, equal bin for bin to a fold over that bin alone. A non-null
-  /// `check` is consulted before every operation.
-  Result<std::pair<std::vector<double>, std::vector<double>>> AllBinBounds(
-      const EditedImageInfo& info, CancelCheck* check = nullptr) const;
-
   /// Interval on the L1 distance between `query` (normalized fractions)
-  /// and an edited image with per-bin fraction bounds [lo, hi].
+  /// and an edited image with the per-bin bounds of `bounds`.
   static SimilarityMatch DistanceInterval(
       ObjectId id, const std::vector<double>& query_fractions,
-      const std::vector<double>& lo, const std::vector<double>& hi);
+      const BoundsRow& bounds);
 
   /// k-NN candidate search (see class comment): `TopKCandidates` over
-  /// every stored image. `stats` counts the rule work performed.
-  /// `context` (when limited) is honored cooperatively per image and per
-  /// operation, and an interrupt records the work done so far in
-  /// `context.interrupt` — the range-query processors' contract.
+  /// every stored image. `stats` counts the rule work the scored rows
+  /// stand for (operations x bins per edited image). `context` (when
+  /// limited) is honored cooperatively per image, and an interrupt
+  /// records the work done so far in `context.interrupt` — the
+  /// range-query processors' contract.
   Result<std::vector<SimilarityMatch>> Knn(
       const ColorHistogram& query, size_t k, QueryStats* stats = nullptr,
       const QueryContext& context = {}) const;
@@ -88,10 +84,6 @@ class SimilaritySearcher {
 
   const AugmentedCollection* collection_;
   const RuleEngine* engine_;
-  const CollectionTargetResolver resolver_;
-  /// Every bin of the engine's quantizer, in order.
-  const std::vector<BinIndex> all_bins_;
-  mutable RuleState state_;
 };
 
 }  // namespace mmdb

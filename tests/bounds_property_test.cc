@@ -171,7 +171,8 @@ TEST(BoundsTest, MergeTargetCycleIsRejected) {
   MergeOp self_merge;
   self_merge.target = 2;  // Itself.
   edited.script.ops.emplace_back(self_merge);
-  ASSERT_TRUE(collection.AddEdited(edited).ok());
+  // Only resolved, never scored: an empty bounds row does.
+  ASSERT_TRUE(collection.AddEdited(edited, {}).ok());
 
   const RuleEngine engine(quantizer);
   const CollectionTargetResolver resolver(collection, engine);
@@ -308,13 +309,13 @@ TEST_P(AllBinFold, EqualsOneBinFoldForEveryBin) {
   edited_target.id = 50;
   edited_target.script = mmdb::testing::RandomScript(
       first.id, first.width, first.height, 6, u.targets, rng);
-  ASSERT_TRUE(u.collection.AddEdited(edited_target).ok());
+  ASSERT_TRUE(u.collection.AddEdited(edited_target, {}).ok());
   // A cycle: an edited image that merges into itself.
   EditedImageInfo self_merge;
   self_merge.id = 51;
   self_merge.script.base_id = first.id;
   self_merge.script.ops.emplace_back(MergeOp{ObjectId{51}, 0, 0});
-  ASSERT_TRUE(u.collection.AddEdited(self_merge).ok());
+  ASSERT_TRUE(u.collection.AddEdited(self_merge, {}).ok());
 
   const ObjectId base_id = u.targets.back().id;
   const EditScript into_edited{
@@ -367,7 +368,7 @@ TEST(EditedImageBounderTest, ReusedBounderMatchesFreshBounderPerImage) {
   edited_target.id = 50;
   edited_target.script = mmdb::testing::RandomScript(
       first.id, first.width, first.height, 6, u.targets, rng);
-  ASSERT_TRUE(u.collection.AddEdited(edited_target).ok());
+  ASSERT_TRUE(u.collection.AddEdited(edited_target, {}).ok());
 
   // Narrow windows over bins the bases hold, on short scripts, so each
   // conjunct passes some images and fails others.

@@ -16,6 +16,8 @@ BinaryImageInfo MakeBinary(ObjectId id, Rgb color, int32_t side = 4) {
   return info;
 }
 
+// Tests that never score an edited image add it with an empty bounds
+// row, `{}`.
 EditedImageInfo MakeEdited(ObjectId id, ObjectId base_id) {
   EditedImageInfo info;
   info.id = id;
@@ -27,7 +29,7 @@ EditedImageInfo MakeEdited(ObjectId id, ObjectId base_id) {
 TEST(CollectionTest, AddAndFind) {
   AugmentedCollection collection;
   ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed)).ok());
-  ASSERT_TRUE(collection.AddEdited(MakeEdited(2, 1)).ok());
+  ASSERT_TRUE(collection.AddEdited(MakeEdited(2, 1), {}).ok());
   EXPECT_NE(collection.FindBinary(1), nullptr);
   EXPECT_EQ(collection.FindBinary(2), nullptr);
   EXPECT_NE(collection.FindEdited(2), nullptr);
@@ -40,7 +42,7 @@ TEST(CollectionTest, RejectsZeroIds) {
   AugmentedCollection collection;
   EXPECT_EQ(collection.AddBinary(MakeBinary(0, colors::kRed)).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(collection.AddEdited(MakeEdited(0, 1)).code(),
+  EXPECT_EQ(collection.AddEdited(MakeEdited(0, 1), {}).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -49,8 +51,8 @@ TEST(CollectionTest, RejectsDuplicateIdsAcrossKinds) {
   ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed)).ok());
   EXPECT_EQ(collection.AddBinary(MakeBinary(1, colors::kBlue)).code(),
             StatusCode::kAlreadyExists);
-  ASSERT_TRUE(collection.AddEdited(MakeEdited(2, 1)).ok());
-  EXPECT_EQ(collection.AddEdited(MakeEdited(2, 1)).code(),
+  ASSERT_TRUE(collection.AddEdited(MakeEdited(2, 1), {}).ok());
+  EXPECT_EQ(collection.AddEdited(MakeEdited(2, 1), {}).code(),
             StatusCode::kAlreadyExists);
   EXPECT_EQ(collection.AddBinary(MakeBinary(2, colors::kRed)).code(),
             StatusCode::kAlreadyExists);
@@ -58,7 +60,7 @@ TEST(CollectionTest, RejectsDuplicateIdsAcrossKinds) {
 
 TEST(CollectionTest, EditedRequiresStoredBase) {
   AugmentedCollection collection;
-  EXPECT_EQ(collection.AddEdited(MakeEdited(2, 1)).code(),
+  EXPECT_EQ(collection.AddEdited(MakeEdited(2, 1), {}).code(),
             StatusCode::kNotFound);
 }
 
@@ -66,12 +68,12 @@ TEST(CollectionTest, MaintainsConnections) {
   AugmentedCollection collection;
   ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed)).ok());
   ASSERT_TRUE(collection.AddBinary(MakeBinary(2, colors::kBlue)).ok());
-  ASSERT_TRUE(collection.AddEdited(MakeEdited(3, 1)).ok());
-  ASSERT_TRUE(collection.AddEdited(MakeEdited(4, 1)).ok());
-  ASSERT_TRUE(collection.AddEdited(MakeEdited(5, 2)).ok());
+  ASSERT_TRUE(collection.AddEdited(MakeEdited(3, 1), {}).ok());
+  ASSERT_TRUE(collection.AddEdited(MakeEdited(4, 1), {}).ok());
+  ASSERT_TRUE(collection.AddEdited(MakeEdited(5, 2), {}).ok());
   EditedImageInfo unclassified = MakeEdited(6, 2);
   unclassified.script.ops.emplace_back(MergeOp{ObjectId{1}, 0, 0});
-  ASSERT_TRUE(collection.AddEdited(unclassified).ok());
+  ASSERT_TRUE(collection.AddEdited(unclassified, {}).ok());
   EXPECT_EQ(collection.FindBinary(1)->cluster,
             (std::vector<ObjectId>{3, 4}));
   EXPECT_EQ(collection.FindBinary(2)->cluster, std::vector<ObjectId>{5});
@@ -90,6 +92,48 @@ TEST(CollectionTest, MaintainsConnections) {
   EXPECT_TRUE(collection.RemoveBinary(2).ok());
   EXPECT_TRUE(collection.RemoveBinary(1).ok());
   EXPECT_TRUE(collection.binary_ids().empty());
+}
+
+TEST(CollectionTest, BoundsRowsFollowEditedIdsThroughRemovals) {
+  // Image `id` gets the two-bin row [id, 2 id], [id + 1, 2 id + 1] of
+  // 3 id pixels after id operations; the rows span several blocks.
+  AugmentedCollection collection;
+  ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed)).ok());
+  const auto row_of = [](ObjectId id, std::vector<int32_t>* counts) {
+    const auto v = static_cast<int32_t>(id);
+    *counts = {v, v + 1, 2 * v, 2 * v + 1};
+    return BoundsRow{counts->data(), counts->data() + 2, 2,
+                     3 * static_cast<int64_t>(id), static_cast<int64_t>(id)};
+  };
+  std::vector<int32_t> counts;
+  const ObjectId last = 2 + 3 * BoundsColumn::kRowsPerBlock + 4;
+  for (ObjectId id = 2; id <= last; ++id) {
+    ASSERT_TRUE(collection.AddEdited(MakeEdited(id, 1), row_of(id, &counts))
+                    .ok());
+  }
+  // From the first block, across a block boundary, and the last row.
+  for (ObjectId id : {ObjectId{7}, ObjectId{2}, ObjectId{130}, last}) {
+    ASSERT_TRUE(collection.RemoveEdited(id).ok());
+  }
+  const std::vector<ObjectId>& ids = collection.edited_ids();
+  ASSERT_EQ(collection.edited_bounds().size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(collection.edited_bounds()[i], row_of(ids[i], &counts))
+        << "row " << i;
+    EXPECT_EQ(collection.FindEdited(ids[i])->position, i);
+  }
+
+  // A row of another width is refused; once every row is gone, the next
+  // row sets the width.
+  std::vector<int32_t> one = {1, 1};
+  const BoundsRow narrow{one.data(), one.data() + 1, 1, 1, 0};
+  EXPECT_EQ(collection.AddEdited(MakeEdited(last + 1, 1), narrow).code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<ObjectId> remaining = ids;
+  for (ObjectId id : remaining) ASSERT_TRUE(collection.RemoveEdited(id).ok());
+  EXPECT_EQ(collection.edited_bounds().size(), 0u);
+  ASSERT_TRUE(collection.AddEdited(MakeEdited(last + 1, 1), narrow).ok());
+  EXPECT_EQ(collection.edited_bounds()[0], narrow);
 }
 
 TEST(CollectionTest, PreservesInsertionOrder) {
@@ -123,7 +167,7 @@ TEST(CollectionTest, TargetResolverRecursesThroughEditedTargets) {
   edited.id = 2;
   edited.script.base_id = 1;
   edited.script.ops.emplace_back(ModifyOp{colors::kRed, colors::kBlue});
-  ASSERT_TRUE(collection.AddEdited(edited).ok());
+  ASSERT_TRUE(collection.AddEdited(edited, {}).ok());
 
   const RuleEngine engine(quantizer);
   const CollectionTargetResolver resolver(collection, engine);

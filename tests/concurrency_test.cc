@@ -151,10 +151,11 @@ TEST(ConcurrencyTest, ParallelSimilaritySearches) {
   const ColorHistogram query = ExtractHistogram(
       testing::RandomBlockImage(16, 16, 6, rng), db->quantizer());
 
-  // Serial answer first.
-  const SimilaritySearcher serial(&db->collection(), &db->rule_engine());
+  // Serial answer first. The searcher holds no state, so the four
+  // threads below share it.
+  const SimilaritySearcher searcher(&db->collection(), &db->rule_engine());
   const std::vector<SimilarityMatch> serial_matches =
-      serial.Knn(query, 5).value();
+      searcher.Knn(query, 5).value();
   std::set<ObjectId> expected;
   for (const auto& match : serial_matches) {
     expected.insert(match.id);
@@ -164,8 +165,6 @@ TEST(ConcurrencyTest, ParallelSimilaritySearches) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
-      const SimilaritySearcher searcher(&db->collection(),
-                                        &db->rule_engine());
       for (int round = 0; round < 3; ++round) {
         const auto matches = searcher.Knn(query, 5);
         if (!matches.ok()) {

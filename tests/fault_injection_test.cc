@@ -311,6 +311,9 @@ TEST(CorruptionToleranceTest, CorruptBaseRowQuarantinesItsDerivedImages) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ((*db)->QuarantinedImages(),
             (std::vector<ObjectId>{base, derived}));
+  // A quarantined image has no row; the others refold to theirs.
+  EXPECT_EQ((*db)->collection().edited_ids(), std::vector<ObjectId>{kept});
+  EXPECT_EQ(mmdb::testing::BoundsRowMismatch(**db), "");
   const auto report = (*db)->VerifyIntegrity(/*deep_pixels=*/true);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   ExpectEveryMethodAnswers(**db, {other, kept});

@@ -66,6 +66,7 @@ TEST(IntegrityTest, SurvivesInsertDeleteChurn) {
     const auto report = db->VerifyIntegrity();
     ASSERT_TRUE(report.ok()) << "round " << round << ": "
                              << report.status().ToString();
+    ASSERT_EQ(testing::BoundsRowMismatch(*db), "") << "round " << round;
     const RangeQuery window = datasets::MakeGroundedRangeWorkload(
         db->collection(), db->quantizer(), testing::TestPalette(), 1, rng)[0];
     EXPECT_EQ(testing::AsSet(db->RunRange(window, QueryMethod::kBwm)->ids),

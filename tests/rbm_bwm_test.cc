@@ -78,6 +78,7 @@ BinaryImageInfo Binary(ObjectId id) {
   return info;
 }
 
+// The scans read no bounds row, so these images carry empty ones, `{}`.
 TEST(BwmClusterTest, InsertionClassifiesPerFigure1) {
   AugmentedCollection collection;
   ASSERT_TRUE(collection.AddBinary(Binary(10)).ok());
@@ -87,7 +88,7 @@ TEST(BwmClusterTest, InsertionClassifiesPerFigure1) {
   widening.id = 11;
   widening.script.base_id = 10;
   widening.script.ops.emplace_back(ModifyOp{colors::kRed, colors::kBlue});
-  ASSERT_TRUE(collection.AddEdited(widening).ok());
+  ASSERT_TRUE(collection.AddEdited(widening, {}).ok());
 
   EditedImageInfo unclassified;
   unclassified.id = 12;
@@ -95,7 +96,7 @@ TEST(BwmClusterTest, InsertionClassifiesPerFigure1) {
   MergeOp merge;
   merge.target = 20;
   unclassified.script.ops.emplace_back(merge);
-  ASSERT_TRUE(collection.AddEdited(unclassified).ok());
+  ASSERT_TRUE(collection.AddEdited(unclassified, {}).ok());
 
   EXPECT_EQ(collection.binary_ids(), (std::vector<ObjectId>{10, 20}));
   EXPECT_EQ(collection.FindBinary(10)->cluster, std::vector<ObjectId>{11});
@@ -111,7 +112,7 @@ TEST(BwmClusterTest, ClusterIdsStaySorted) {
     EditedImageInfo info;
     info.id = id;
     info.script.base_id = 1;
-    ASSERT_TRUE(collection.AddEdited(info).ok());
+    ASSERT_TRUE(collection.AddEdited(info, {}).ok());
   }
   EXPECT_EQ(collection.binary_ids(), std::vector<ObjectId>{1});
   EXPECT_EQ(collection.FindBinary(1)->cluster,

@@ -404,10 +404,10 @@ TEST(CancellationTest, PreCancelledTokenStopsTopKWithPartialFlag) {
   EXPECT_EQ(interrupt.results_so_far, 0);
 }
 
-TEST(CancellationTest, TopKDeadlineTripsBetweenBinFolds) {
-  // With the clock first read at check number binaries + 2, the deadline
-  // trips at the check before the first edited image's first bin fold:
-  // every binary image is scored, no edited one finished.
+TEST(CancellationTest, TopKDeadlineTripsBeforeFirstEditedImage) {
+  // Top-k checks once per image. With the clock first read at check
+  // number binaries + 1, the deadline trips at the check before the first
+  // edited image: every binary image is scored, no edited one.
   auto db = MakeDataset(60, 7011);
   const int64_t binaries =
       static_cast<int64_t>(db->collection().BinaryCount());
@@ -415,7 +415,7 @@ TEST(CancellationTest, TopKDeadlineTripsBetweenBinFolds) {
   QueryInterrupt interrupt;
   QueryContext ctx;
   ctx.deadline = Deadline::After(-1.0);
-  ctx.check_stride = static_cast<int>(binaries) + 2;
+  ctx.check_stride = static_cast<int>(binaries) + 1;
   ctx.interrupt = &interrupt;
   const Result<QueryResult> cut =
       db->RunSimilarity(NearestToFirstBinary(*db), ctx);

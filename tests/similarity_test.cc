@@ -17,25 +17,27 @@ namespace {
 TEST(SimilarityTest, DistanceIntervalDegeneratesToExact) {
   // When lo == hi per bin, the interval is the exact L1 distance.
   const std::vector<double> query = {0.5, 0.5, 0.0};
-  const std::vector<double> point = {0.25, 0.5, 0.25};
-  const SimilarityMatch match =
-      SimilaritySearcher::DistanceInterval(1, query, point, point);
+  const std::vector<int32_t> point = {1, 2, 1};  // {0.25, 0.5, 0.25} of 4.
+  const SimilarityMatch match = SimilaritySearcher::DistanceInterval(
+      1, query, BoundsRow{point.data(), point.data(), 3, 4, 0});
   EXPECT_NEAR(match.distance_lo, 0.5, 1e-12);
   EXPECT_NEAR(match.distance_hi, 0.5, 1e-12);
 }
 
 TEST(SimilarityTest, DistanceIntervalBracketsAnyRealization) {
   const std::vector<double> query = {0.4, 0.6};
-  const std::vector<double> lo = {0.2, 0.1};
-  const std::vector<double> hi = {0.6, 0.9};
+  const std::vector<int32_t> hb_min = {2, 1};  // {0.2, 0.1} of 10.
+  const std::vector<int32_t> hb_max = {6, 9};  // {0.6, 0.9} of 10.
+  const BoundsRow bounds{hb_min.data(), hb_max.data(), 2, 10, 0};
   const SimilarityMatch match =
-      SimilaritySearcher::DistanceInterval(1, query, lo, hi);
+      SimilaritySearcher::DistanceInterval(1, query, bounds);
   // Any realization x with lo <= x <= hi must fall inside.
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     double dist = 0;
     for (size_t d = 0; d < query.size(); ++d) {
-      const double x = rng.UniformDouble(lo[d], hi[d]);
+      const FractionBounds bin = bounds.Fraction(d);
+      const double x = rng.UniformDouble(bin.min_fraction, bin.max_fraction);
       dist += std::fabs(x - query[d]);
     }
     EXPECT_GE(dist, match.distance_lo - 1e-12);
@@ -54,7 +56,6 @@ TEST_P(SimilarityProperty, IntervalContainsExactDistance) {
   const auto stats = datasets::BuildAugmentedDatabase(db.get(), spec);
   ASSERT_TRUE(stats.ok());
 
-  const SimilaritySearcher searcher(&db->collection(), &db->rule_engine());
   const InstantiationQueryProcessor exact_processor(
       &db->collection(), &db->quantizer(), db->MakePixelResolver());
 
@@ -63,12 +64,12 @@ TEST_P(SimilarityProperty, IntervalContainsExactDistance) {
       testing::RandomBlockImage(24, 24, 6, rng), db->quantizer());
   const std::vector<double> query_fractions = query.Normalized();
 
-  for (ObjectId id : db->collection().edited_ids()) {
+  const std::vector<ObjectId>& ids = db->collection().edited_ids();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const ObjectId id = ids[i];
     const EditedImageInfo* edited = db->collection().FindEdited(id);
-    const auto bounds = searcher.AllBinBounds(*edited);
-    ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
     const SimilarityMatch match = SimilaritySearcher::DistanceInterval(
-        id, query_fractions, bounds->first, bounds->second);
+        id, query_fractions, db->collection().edited_bounds()[i]);
     const auto exact_hist = exact_processor.ExactHistogram(*edited);
     ASSERT_TRUE(exact_hist.ok());
     const double exact = L1Distance(query, *exact_hist);

@@ -4,8 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
+
+#include "core/bounds.h"
 
 namespace mmdb::testing {
 
@@ -123,6 +127,59 @@ EditScript RandomScript(
     }
   }
   return script;
+}
+
+std::string BoundsRowMismatch(const MultimediaDatabase& db) {
+  const AugmentedCollection& collection = db.collection();
+  const std::vector<ObjectId>& ids = collection.edited_ids();
+  const BoundsColumn& rows = collection.edited_bounds();
+  if (rows.size() != ids.size()) {
+    return std::to_string(rows.size()) + " rows for " +
+           std::to_string(ids.size()) + " edited images";
+  }
+  const RuleEngine& engine = db.rule_engine();
+  std::vector<BinIndex> bins(
+      static_cast<size_t>(engine.quantizer().BinCount()));
+  std::iota(bins.begin(), bins.end(), BinIndex{0});
+  const auto bits = [](double value) { return std::bit_cast<uint64_t>(value); };
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const std::string where =
+        "image " + std::to_string(ids[i]) + " (row " + std::to_string(i) +
+        "): ";
+    const EditedImageInfo* info = collection.FindEdited(ids[i]);
+    if (info->position != i) {
+      return where + "position " + std::to_string(info->position);
+    }
+    const BinaryImageInfo* base = collection.FindBinary(info->script.base_id);
+    const CollectionTargetResolver resolver(collection, engine);
+    RuleState fresh;
+    const Status folded =
+        FoldRules(engine, info->script, bins, base->histogram.counts(),
+                  base->width, base->height, &resolver, &fresh);
+    if (!folded.ok()) return where + folded.ToString();
+    const BoundsRow row = rows[i];
+    if (row.bins != bins.size() || row.size != fresh.size ||
+        row.ops != static_cast<int64_t>(info->script.ops.size())) {
+      return where + "bins " + std::to_string(row.bins) + ", size " +
+             std::to_string(row.size) + ", ops " + std::to_string(row.ops) +
+             "; the fold's size is " + std::to_string(fresh.size);
+    }
+    for (size_t b = 0; b < bins.size(); ++b) {
+      const FractionBounds stored = row.Fraction(b);
+      const FractionBounds expected = ToFractionBounds(fresh, b);
+      if (row.hb_min[b] != fresh.hb_min[b] ||
+          row.hb_max[b] != fresh.hb_max[b] ||
+          bits(stored.min_fraction) != bits(expected.min_fraction) ||
+          bits(stored.max_fraction) != bits(expected.max_fraction)) {
+        return where + "bin " + std::to_string(b) + " holds [" +
+               std::to_string(row.hb_min[b]) + ", " +
+               std::to_string(row.hb_max[b]) + "], the fold [" +
+               std::to_string(fresh.hb_min[b]) + ", " +
+               std::to_string(fresh.hb_max[b]) + "]";
+      }
+    }
+  }
+  return "";
 }
 
 std::string ScaleBracketMismatch(const RuleEngine& engine,

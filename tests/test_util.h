@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/collection.h"
+#include "core/database.h"
 #include "core/query.h"
 #include "datasets/augment.h"
 #include "editops/edit_ops.h"
@@ -43,6 +44,14 @@ EditScript RandomScript(ObjectId base_id, int32_t width, int32_t height,
 /// reference count of the nearest-neighbor resize kept here; returns the
 /// first mismatch, or "" when every bracket agrees.
 std::string ScaleBracketMismatch(const RuleEngine& engine, int32_t max_extent);
+
+/// Checks `db`'s bounds rows: one per edited image, row i for
+/// `edited_ids()[i]` (and its `position`), each equal to a fresh
+/// `FoldRules` of the image's script over every bin, with its own
+/// resolver and state: counts, size, operation count and the bits of
+/// every fraction bound. Returns the first mismatch, or "" when every row
+/// agrees.
+std::string BoundsRowMismatch(const MultimediaDatabase& db);
 
 /// A path under `::testing::TempDir()` that no other test shares:
 /// `<suite>.<test>.<pid>.<name>`. ctest runs every test as its own
